@@ -1,15 +1,18 @@
 """Population lifecycle: cached evaluation, generation steps, and the run loop.
 
-Fitness is always maximized and must be non-negative (parent selection is
-fitness-proportional). Populations returned by the step strategies are sorted
-best-first, so ``pop[0]`` is the current best individual.
+Fitness is always maximized and must be a finite, non-negative real number
+(parent selection is fitness-proportional). Populations returned by the step
+strategies are sorted best-first, so ``pop[0]`` is the current best individual.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
+from numbers import Real
 from typing import Callable, Sequence, Union
 
 from .core import BitGenome, OperatorSpec, RandomSource, choose_operator
@@ -128,15 +131,20 @@ class RunStats:
 def _evaluate(ind: Individual, f: FitnessFunction, stats: RunStats, label: object) -> None:
     try:
         value = f(ind.genome)
+        # plain int/float first: an isinstance check against the ABC is far slower
+        real = isinstance(value, (int, float)) or isinstance(value, Real)
+        fitness = float(value) if real else math.nan
     except Exception as exc:
         raise EvaluationError(
             f"fitness evaluation failed for individual {label}: {exc}"
         ) from exc
-    if value < 0:
+    # also false for NaN, which would poison the roulette wheel's prefix sums
+    if not 0.0 <= fitness < math.inf:
         raise EvaluationError(
-            f"fitness must be non-negative, individual {label} scored {value}"
+            "fitness must be a finite non-negative real number, "
+            f"individual {label} scored {value!r}"
         )
-    ind.fitness = float(value)
+    ind.fitness = fitness
     stats.evaluations += 1
 
 
@@ -160,32 +168,43 @@ def _rounded_count(fraction: float, size: int) -> int:
     return max(1, math.floor(fraction * size + 0.5))
 
 
-def _roulette_pick(pool: Sequence[Individual], rng: RandomSource) -> Individual:
-    total = sum(ind.fitness for ind in pool)
+def _spin(cumulative: Sequence[float], rng: RandomSource) -> int:
+    """Roulette index drawn from the pool's running fitness sums.
+
+    An all-zero pool falls back to a uniform choice; a draw that rounds up to
+    the total lands on the last slot.
+    """
+    total = cumulative[-1]
     if total <= 0.0:
-        # all-zero fitness: fall back to uniform choice
-        return pool[rng.randrange(len(pool))]
-    u = rng.random() * total
-    acc = 0.0
-    for ind in pool:
-        acc += ind.fitness
-        if u < acc:
-            return ind
-    return pool[-1]
+        return rng.randrange(len(cumulative))
+    return min(bisect_right(cumulative, rng.random() * total), len(cumulative) - 1)
 
 
-def _pick_parents(
-    pool: Sequence[Individual], arity: int, rng: RandomSource
-) -> list[BitGenome]:
-    first = _roulette_pick(pool, rng)
-    if arity == 1:
-        return [first.genome]
-    if len(pool) == 1:
+def _spin_without(
+    cumulative: Sequence[float], first: int, weight: float, rng: RandomSource
+) -> int:
+    """Roulette index over every slot but ``first``, whose fitness is ``weight``.
+
+    Draws and picks exactly as a wheel rebuilt without that slot would: the
+    slots after ``first`` are searched on their sums minus ``weight``, which
+    equal that wheel's sums for whole-number fitness (``u + weight`` can round
+    onto a boundary and would not).
+    """
+    last = len(cumulative) - 1
+    if not last:
         # lone candidate: crossover degenerates to copying it
-        return [first.genome, first.genome]
-    rest = [ind for ind in pool if ind is not first]
-    second = _roulette_pick(rest, rng)
-    return [first.genome, second.genome]
+        return first
+    rest = cumulative[-1] - weight
+    if rest <= 0.0:
+        pick = rng.randrange(last)
+        return pick if pick < first else pick + 1
+    u = rng.random() * rest
+    if first and u < cumulative[first - 1]:
+        return bisect_right(cumulative, u, 0, first)
+    pick = bisect_right(cumulative, u, first + 1, key=lambda c: c - weight)
+    if pick <= last:
+        return pick
+    return last if first != last else last - 1
 
 
 def _make_offspring(
@@ -194,10 +213,16 @@ def _make_offspring(
     cfg: EasyStepConfig,
     rng: RandomSource,
 ) -> list[Individual]:
+    # one prefix-sum wheel per step: each roulette pick is a bisection, O(log N)
+    cumulative = list(accumulate(ind.fitness for ind in parent_pool))
     offspring = []
     for _ in range(count):
         op = cfg.operators[choose_operator(cfg.operators, rng)]
-        parents = _pick_parents(parent_pool, op.arity, rng)
+        first = _spin(cumulative, rng)
+        parents = [parent_pool[first].genome]
+        if op.arity != 1:
+            second = _spin_without(cumulative, first, parent_pool[first].fitness, rng)
+            parents.append(parent_pool[second].genome)
         offspring.append(Individual(op.apply(parents, rng)))
     return offspring
 

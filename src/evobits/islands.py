@@ -105,16 +105,12 @@ def consensus_genome(pop: Sequence[Individual]) -> BitGenome:
     return BitGenome(tuple(bits))
 
 
-def select_migrant(
-    policy: MigrationPolicy,
-    pop: Sequence[Individual],
-    rng: RandomSource | None = None,
-) -> Individual:
+def select_migrant(policy: MigrationPolicy, pop: Sequence[Individual]) -> Individual:
     """Independent copy of the individual the policy picks to emigrate.
 
     BEST picks the highest fitness; MOST_DIFFERENT picks the largest Hamming
     distance from the population's consensus genome. Ties go to the earliest
-    individual, so selection is deterministic and ``rng`` is currently unused.
+    individual, so selection is deterministic and draws no random numbers.
     """
     if not pop:
         raise ValueError("population must not be empty")
@@ -255,10 +251,12 @@ class Archipelago:
             f"gen={session.generation} size={len(session.pop)} "
             f"best={session.best_fitness:g}",
         )
+        if cfg.peers:
+            migrant = select_migrant(cfg.migration_policy, session.pop)
         for peer in cfg.peers:
-            migrant = select_migrant(cfg.migration_policy, session.pop, session.rng)
+            # one copy per message: islands never share an Individual
             self.mailboxes[peer].append(
-                MigrantMessage(alias, session.generation, migrant)
+                MigrantMessage(alias, session.generation, migrant.copy())
             )
             self.messages_sent += 1
             self._record(alias, "send", f"to={peer} gen={session.generation}")

@@ -1,8 +1,20 @@
 """Tests for evaluation caching, generation steps, terminators, and the run loop."""
 
-import pytest
+import math
 
-from evobits.core import BitFlip, BitGenome, NPointCrossover, RandomSource, hamming, random_genome
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from evobits.core import (
+    BitFlip,
+    BitGenome,
+    NPointCrossover,
+    RandomSource,
+    choose_operator,
+    hamming,
+    random_genome,
+)
 from evobits.engine import (
     EasyStepConfig,
     EvaluationError,
@@ -10,6 +22,7 @@ from evobits.engine import (
     MaxGenerations,
     RunStats,
     TargetFitness,
+    _make_offspring,
     canonical_step,
     easy_step,
     evaluate_population,
@@ -88,6 +101,132 @@ class TestEvaluatePopulation:
         pop, _ = fresh_population(2, 4, 5)
         with pytest.raises(EvaluationError, match="non-negative"):
             evaluate_population(pop, lambda g: -1.0, RunStats())
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, None, "3"])
+    def test_unusable_fitness_names_individual(self, value):
+        pop, _ = fresh_population(3, 4, 5)
+        results = iter([1.0, value, 1.0])
+        stats = RunStats()
+        with pytest.raises(EvaluationError, match="individual 1 scored"):
+            evaluate_population(pop, lambda g: next(results), stats)
+        assert pop[1].fitness is None
+        assert stats.evaluations == 1
+
+
+def linear_roulette_pick(pool, rng):
+    """Oracle: the linear roulette wheel, re-summing the pool on every pick."""
+    total = sum(ind.fitness for ind in pool)
+    if total <= 0.0:
+        return pool[rng.randrange(len(pool))]
+    u = rng.random() * total
+    acc = 0.0
+    for ind in pool:
+        acc += ind.fitness
+        if u < acc:
+            return ind
+    return pool[-1]
+
+
+def linear_pick_parents(pool, arity, rng):
+    """Oracle: the second parent comes from a wheel rebuilt without the first."""
+    first = linear_roulette_pick(pool, rng)
+    if arity == 1:
+        return [first.genome]
+    if len(pool) == 1:
+        return [first.genome, first.genome]
+    rest = [ind for ind in pool if ind is not first]
+    return [first.genome, linear_roulette_pick(rest, rng).genome]
+
+
+class RecordingOperator:
+    """Variation stand-in that records the parents it is handed."""
+
+    rate = 1.0
+
+    def __init__(self, arity):
+        self.arity = arity
+        self.parents = []
+
+    def apply(self, parents, rng):
+        self.parents.append(list(parents))
+        return parents[0]
+
+
+class ScriptedRandom:
+    """Random source replaying fixed ``random()`` values, for exact boundaries."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self):
+        return self.values.pop(0)
+
+    def randrange(self, n):
+        raise AssertionError("scripted draws must not reach randrange")
+
+
+def evaluated_pool(fitnesses):
+    # distinct genomes, so each recorded parent names its pool slot
+    pool = [Individual(BitGenome.from_string(f"{i:08b}")) for i in range(len(fitnesses))]
+    for ind, value in zip(pool, fitnesses):
+        ind.fitness = float(value)
+    return pool
+
+
+def oracle_and_prefix_picks(fitnesses, arity, count, rng_oracle, rng_prefix):
+    pool = evaluated_pool(fitnesses)
+    op = RecordingOperator(arity)
+    expected = []
+    for _ in range(count):
+        choose_operator([op], rng_oracle)
+        expected.append(linear_pick_parents(pool, arity, rng_oracle))
+    _make_offspring(count, pool, EasyStepConfig(0.5, [op]), rng_prefix)
+    return expected, op.parents
+
+
+class TestRouletteSelection:
+    @given(
+        st.lists(
+            st.integers(0, 30) | st.just(0) | st.integers(0, 10**12), min_size=1, max_size=40
+        ),
+        st.sampled_from([1, 2]),
+        st.integers(1, 12),
+        st.integers(0, 2**32),
+    )
+    @example([0, 0, 0, 0], 2, 6, 0)  # all-zero pool: uniform choice for both parents
+    @example([7], 2, 3, 2)  # lone candidate
+    @example([0], 1, 3, 3)
+    @example([0, 5], 2, 4, 4)  # pool of two, one of them zero
+    @example([3, 3], 2, 4, 5)
+    @example([0, 0, 0, 9], 2, 6, 6)  # first pick always the last slot
+    @settings(max_examples=300, deadline=None)
+    def test_prefix_sum_picks_match_linear_oracle(self, fitnesses, arity, count, seed):
+        rng_oracle, rng_prefix = RandomSource(seed), RandomSource(seed)
+        expected, picked = oracle_and_prefix_picks(
+            fitnesses, arity, count, rng_oracle, rng_prefix
+        )
+        assert picked == expected
+        assert rng_prefix.random() == rng_oracle.random()
+
+    @pytest.mark.parametrize(
+        "fitnesses, draws",
+        [
+            # second draw lands just below the boundary between slots 1 and 2
+            # of the wheel without slot 0; u + 1000 would round onto it
+            ([1000, 1, 1], [0.0, 0.5, 0.49999999999999994]),
+            # draws that reach the total fall back to the last slot, or the
+            # one before it when the first parent is last
+            ([1, 2, 0], [0.0, 1.0, 1.0]),
+            ([1, 0, 2], [0.0, 1.0, 1.0]),
+            # the zero-fitness slot after the first parent is never drawn
+            ([4, 0, 1, 2], [0.0, 0.3, 0.5]),
+        ],
+    )
+    def test_boundary_draws_match_linear_oracle(self, fitnesses, draws):
+        expected, picked = oracle_and_prefix_picks(
+            fitnesses, 2, 1, ScriptedRandom(draws), ScriptedRandom(draws)
+        )
+        assert picked == expected
 
 
 class TestEasyStep:

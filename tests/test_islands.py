@@ -202,6 +202,26 @@ class TestArchipelago:
         assert arch.messages_sent == 60  # 3 x 10 x 2 peers
         assert arch.messages_delivered == 60
 
+    def test_peers_receive_separate_copies_of_one_migrant(self):
+        aliases = ["a", "b", "c"]
+        configs = [
+            island(
+                a,
+                [p for p in aliases if p != a],
+                seed=20 + i,
+                migration_policy=MigrationPolicy.MOST_DIFFERENT,
+            )
+            for i, a in enumerate(aliases)
+        ]
+        arch = Archipelago(configs)
+        arch.step_island("a")
+        (to_b,), (to_c,) = arch.mailboxes["b"], arch.mailboxes["c"]
+        expected = select_migrant(MigrationPolicy.MOST_DIFFERENT, arch.sessions["a"].pop)
+        assert to_b.individual == to_c.individual == expected
+        assert to_b.individual is not to_c.individual
+        local = {id(ind) for ind in arch.sessions["a"].pop}
+        assert id(to_b.individual) not in local and id(to_c.individual) not in local
+
     def test_log_line_format(self):
         configs = [
             island("node_1", ["node_2"], seed=5, generations=2),
