@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -81,17 +82,17 @@ _POLICIES = {
 _KEYS: dict[str, tuple[Callable[[str], object], Callable, str]] = {
     "problem": (str, lambda v: v in _PROBLEMS, f"must be one of {', '.join(_PROBLEMS)}"),
     "num_rects": (int, lambda v: v >= 1, "must be at least 1"),
-    "arena_side": (float, lambda v: v > 0, "must be positive"),
+    "arena_side": (float, lambda v: 0 < v < math.inf, "must be positive and finite"),
     "bits": (int, lambda v: v >= 1, "must be at least 1"),
     "block_size": (int, lambda v: v >= 1, "must be at least 1"),
     "pop_size": (int, lambda v: v >= 2, "must be at least 2"),
     "max_generations": (int, lambda v: v >= 1, "must be at least 1"),
     "selection_rate": (float, lambda v: 0.0 < v < 1.0, "must be in (0, 1)"),
-    "mutation_rate": (float, lambda v: v > 0, "must be positive"),
-    "crossover_rate": (float, lambda v: v > 0, "must be positive"),
+    "mutation_rate": (float, lambda v: 0 < v < math.inf, "must be positive and finite"),
+    "crossover_rate": (float, lambda v: 0 < v < math.inf, "must be positive and finite"),
     "crossover_points": (int, lambda v: v >= 1, "must be at least 1"),
     "seed": (int, lambda v: 0 <= v < 2**64, "must be a 64-bit unsigned integer"),
-    "target_fitness": (float, lambda v: True, ""),
+    "target_fitness": (float, math.isfinite, "must be finite"),
     "islands": (int, lambda v: v >= 2, "must be at least 2"),
     "migration_policy": (str, lambda v: v in _POLICIES, "must be best or mostdifferent"),
     "repetitions": (int, lambda v: v >= 1, "must be at least 1"),
@@ -476,10 +477,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "islands":
             return _cmd_islands(cfg)
         return _cmd_bench(cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (EvaluationError, ValueError, OSError) as exc:
+    except (ConfigError, EvaluationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

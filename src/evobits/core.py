@@ -6,6 +6,7 @@ Everything here is a pure function of its arguments plus an explicit
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import ClassVar, Sequence, Union
@@ -183,8 +184,8 @@ class BitFlip:
     def __post_init__(self) -> None:
         if self.flip_count < 1:
             raise ValueError(f"flip_count must be positive, got {self.flip_count}")
-        if self.rate <= 0:
-            raise ValueError(f"operator rate must be positive, got {self.rate}")
+        if not 0 < self.rate < math.inf:
+            raise ValueError(f"operator rate must be positive and finite, got {self.rate}")
 
     def apply(self, parents: Sequence[BitGenome], rng: RandomSource) -> BitGenome:
         return bitflip(parents[0], self.flip_count, rng)
@@ -202,8 +203,8 @@ class NPointCrossover:
     def __post_init__(self) -> None:
         if self.points < 1:
             raise ValueError(f"points must be positive, got {self.points}")
-        if self.rate <= 0:
-            raise ValueError(f"operator rate must be positive, got {self.rate}")
+        if not 0 < self.rate < math.inf:
+            raise ValueError(f"operator rate must be positive and finite, got {self.rate}")
 
     def apply(self, parents: Sequence[BitGenome], rng: RandomSource) -> BitGenome:
         return n_point_crossover(parents[0], parents[1], self.points, rng)
@@ -224,7 +225,11 @@ def choose_operator(ops: Sequence[OperatorSpec], rng: RandomSource) -> int:
         if op.rate <= 0:
             raise ValueError(f"operator rate must be positive, got {op.rate}")
         rates.append(op.rate)
-    u = rng.random() * sum(rates)
+    total = sum(rates)
+    # an infinite or NaN total would send every draw to the last operator
+    if not math.isfinite(total):
+        raise ValueError(f"operator rates must sum to a finite total, got {total}")
+    u = rng.random() * total
     acc = 0.0
     for i, rate in enumerate(rates):
         acc += rate

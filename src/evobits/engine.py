@@ -20,6 +20,7 @@ from .core import BitGenome, OperatorSpec, RandomSource, choose_operator
 __all__ = [
     "EasyStepConfig",
     "EvaluationError",
+    "Evolution",
     "FitnessFunction",
     "Individual",
     "MaxGenerations",
@@ -90,9 +91,6 @@ class MaxGenerations:
     def should_stop(self, generations_executed: int, best_fitness: float) -> bool:
         return generations_executed >= self.limit
 
-    def __str__(self) -> str:
-        return f"MaxGenerations({self.limit})"
-
 
 @dataclass(frozen=True)
 class TargetFitness:
@@ -100,11 +98,13 @@ class TargetFitness:
 
     target: float
 
+    def __post_init__(self) -> None:
+        # NaN or +inf can never be reached, and -inf is met by any population
+        if not math.isfinite(self.target):
+            raise ValueError(f"target fitness must be finite, got {self.target}")
+
     def should_stop(self, generations_executed: int, best_fitness: float) -> bool:
         return best_fitness >= self.target
-
-    def __str__(self) -> str:
-        return f"TargetFitness({self.target})"
 
 
 Terminator = Union[MaxGenerations, TargetFitness]
@@ -163,9 +163,24 @@ def sort_by_fitness(pop: Sequence[Individual]) -> list[Individual]:
     return sorted(pop, key=lambda ind: ind.fitness, reverse=True)
 
 
-def _rounded_count(fraction: float, size: int) -> int:
-    # round-half-up, never below 1
-    return max(1, math.floor(fraction * size + 0.5))
+def _rank(
+    pop: Sequence[Individual], cfg: EasyStepConfig, f: FitnessFunction, stats: RunStats
+) -> tuple[list[Individual], int]:
+    """The population evaluated and sorted best-first, and the step's turnover
+    count ``max(1, round(selection_rate * N))``, which must stay below N."""
+    size = len(pop)
+    if size < 2:
+        raise ValueError(f"population must hold at least 2 individuals, got {size}")
+    evaluate_population(pop, f, stats)
+    ranked = sort_by_fitness(pop)
+    # round half up
+    count = max(1, math.floor(cfg.selection_rate * size + 0.5))
+    if count >= size:
+        raise ValueError(
+            f"selection_rate {cfg.selection_rate} rounds to the whole population "
+            f"of {size}"
+        )
+    return ranked, count
 
 
 def _spin(cumulative: Sequence[float], rng: RandomSource) -> int:
@@ -240,18 +255,8 @@ def easy_step(
     are removed and replaced by offspring of fitness-proportionally chosen
     survivors. Population size is preserved; the result is sorted best-first.
     """
-    size = len(pop)
-    if size < 2:
-        raise ValueError(f"population must hold at least 2 individuals, got {size}")
-    evaluate_population(pop, f, stats)
-    ranked = sort_by_fitness(pop)
-    replaced = _rounded_count(cfg.selection_rate, size)
-    if replaced >= size:
-        raise ValueError(
-            f"selection_rate {cfg.selection_rate} leaves no survivors in a "
-            f"population of {size}"
-        )
-    survivors = ranked[: size - replaced]
+    ranked, replaced = _rank(pop, cfg, f, stats)
+    survivors = ranked[:-replaced]
     offspring = _make_offspring(replaced, survivors, cfg, rng)
     evaluate_population(offspring, f, stats)
     return sort_by_fitness(survivors + offspring)
@@ -270,19 +275,9 @@ def canonical_step(
     unchanged; every remaining slot is filled with an offspring whose parents
     are drawn fitness-proportionally from the whole previous population.
     """
-    size = len(pop)
-    if size < 2:
-        raise ValueError(f"population must hold at least 2 individuals, got {size}")
-    evaluate_population(pop, f, stats)
-    ranked = sort_by_fitness(pop)
-    elite_count = _rounded_count(cfg.selection_rate, size)
-    if elite_count >= size:
-        raise ValueError(
-            f"selection_rate {cfg.selection_rate} copies the whole population "
-            f"of {size} unchanged"
-        )
+    ranked, elite_count = _rank(pop, cfg, f, stats)
     elites = [ind.copy() for ind in ranked[:elite_count]]
-    offspring = _make_offspring(size - elite_count, ranked, cfg, rng)
+    offspring = _make_offspring(len(ranked) - elite_count, ranked, cfg, rng)
     evaluate_population(offspring, f, stats)
     return sort_by_fitness(elites + offspring)
 
@@ -291,6 +286,47 @@ StepFunction = Callable[
     [Sequence[Individual], EasyStepConfig, FitnessFunction, RandomSource, RunStats],
     list[Individual],
 ]
+
+
+@dataclass
+class Evolution:
+    """One run in progress, advanced one generation step at a time.
+
+    Construction starts the clock, evaluates and sorts the initial population
+    and checks the terminators, so a target already met leaves the run
+    ``finished`` after zero steps. The owner may replace ``pop`` between steps
+    (islands integrate migrants); the terminators see it after the next step.
+    """
+
+    pop: list[Individual]
+    step: StepFunction
+    cfg: EasyStepConfig
+    f: FitnessFunction
+    terminators: Sequence[Terminator]
+    rng: RandomSource
+    stats: RunStats = field(default_factory=RunStats, init=False)
+    start: float = field(default_factory=time.perf_counter, init=False)
+    finished: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        if not self.terminators:
+            raise ValueError("at least one terminator is required")
+        self.pop = sort_by_fitness(evaluate_population(list(self.pop), self.f, self.stats))
+        self.finished = self._should_stop()
+
+    def _should_stop(self) -> bool:
+        executed, best = self.stats.generations_executed, self.pop[0].fitness
+        return any(t.should_stop(executed, best) for t in self.terminators)
+
+    def advance(self) -> None:
+        """Execute and record one generation step."""
+        stats = self.stats
+        self.pop = self.step(self.pop, self.cfg, self.f, self.rng, stats)
+        stats.generations_executed += 1
+        stats.best_per_generation.append((stats.generations_executed, self.pop[0].fitness))
+        stats.cumulative_evaluations.append(stats.evaluations)
+        stats.elapsed_seconds.append(time.perf_counter() - self.start)
+        self.finished = self._should_stop()
 
 
 def run(
@@ -307,20 +343,8 @@ def run(
     met by the initial population executes zero steps. Returns the final
     population sorted best-first together with the collected statistics.
     """
-    if not terminators:
-        raise ValueError("at least one terminator is required")
-    stats = RunStats()
-    start = time.perf_counter()
-    pop = list(initial_pop)
-    evaluate_population(pop, f, stats)
-    pop = sort_by_fitness(pop)
-    while not any(
-        t.should_stop(stats.generations_executed, pop[0].fitness) for t in terminators
-    ):
-        pop = step(pop, cfg, f, rng, stats)
-        stats.generations_executed += 1
-        stats.best_per_generation.append((stats.generations_executed, pop[0].fitness))
-        stats.cumulative_evaluations.append(stats.evaluations)
-        stats.elapsed_seconds.append(time.perf_counter() - start)
-    stats.wall_time = time.perf_counter() - start
-    return pop, stats
+    evolution = Evolution(initial_pop, step, cfg, f, terminators, rng)
+    while not evolution.finished:
+        evolution.advance()
+    evolution.stats.wall_time = time.perf_counter() - evolution.start
+    return evolution.pop, evolution.stats

@@ -1,9 +1,10 @@
 """Event-driven island model: per-island runs exchanging one migrant per step.
 
-Islands never share mutable state; they interact only through ordered
-mailboxes drained by a deterministic round-robin scheduler. After every
-generation step an island posts one migrant to each of its peers; incoming
-migrants replace the local worst individual.
+Each island is an :class:`~evobits.engine.Evolution` advanced one generation
+per round. Islands never share mutable state; they interact only through
+ordered mailboxes drained by a deterministic round-robin scheduler. After
+every generation step an island posts one migrant to each of its peers;
+incoming migrants replace the local worst individual.
 """
 
 from __future__ import annotations
@@ -11,13 +12,14 @@ from __future__ import annotations
 import logging
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
 from .core import BitGenome, RandomSource, hamming, random_genome
 from .engine import (
     EasyStepConfig,
+    Evolution,
     FitnessFunction,
     Individual,
     RunStats,
@@ -154,28 +156,6 @@ def integrate_migrant(
     return sort_by_fitness(pop)
 
 
-class _IslandSession:
-    """Mutable run state of one island."""
-
-    def __init__(self, config: IslandConfig) -> None:
-        self.config = config
-        self.rng = RandomSource(config.seed)
-        self.stats = RunStats()
-        self.generation = 0
-        self.start = time.perf_counter()
-        self.pop = [
-            Individual(random_genome(config.genome_length, self.rng))
-            for _ in range(config.pop_size)
-        ]
-        evaluate_population(self.pop, config.fitness, self.stats)
-        self.pop = sort_by_fitness(self.pop)
-        self.finished = config.terminator.should_stop(0, self.pop[0].fitness)
-
-    @property
-    def best_fitness(self) -> float:
-        return self.pop[0].fitness
-
-
 class Archipelago:
     """Round-robin scheduler stepping islands one generation per round.
 
@@ -197,8 +177,17 @@ class Archipelago:
                     raise ValueError(
                         f"island {cfg.alias!r} references unknown peer {peer!r}"
                     )
-        self._order = aliases
-        self.sessions = {cfg.alias: _IslandSession(cfg) for cfg in configs}
+        self._configs = {cfg.alias: cfg for cfg in configs}
+        self.sessions: dict[str, Evolution] = {}
+        for cfg in configs:
+            rng = RandomSource(cfg.seed)
+            pop = [
+                Individual(random_genome(cfg.genome_length, rng))
+                for _ in range(cfg.pop_size)
+            ]
+            self.sessions[cfg.alias] = Evolution(
+                pop, cfg.step, cfg.step_config, cfg.fitness, [cfg.terminator], rng
+            )
         self.mailboxes: dict[str, deque[MigrantMessage]] = {
             alias: deque() for alias in aliases
         }
@@ -210,74 +199,57 @@ class Archipelago:
     def _record(self, alias: str, event: str, detail: str) -> None:
         self.log.append(f"{self.round} {alias} {event} {detail}")
 
-    def _drain_mailbox(self, session: _IslandSession) -> None:
-        box = self.mailboxes[session.config.alias]
+    def _drain_mailbox(self, alias: str) -> None:
+        evolution = self.sessions[alias]
+        box = self.mailboxes[alias]
         while box:
             msg = box.popleft()
             self.messages_delivered += 1
-            if session.finished:
+            if evolution.finished:
                 self._record(
-                    session.config.alias,
-                    "recv",
-                    f"from={msg.source} gen={msg.generation} discarded",
+                    alias, "recv", f"from={msg.source} gen={msg.generation} discarded"
                 )
                 continue
-            self._record(
-                session.config.alias, "recv", f"from={msg.source} gen={msg.generation}"
-            )
-            session.pop = integrate_migrant(
-                session.pop, msg.individual, session.config.fitness, session.stats
+            self._record(alias, "recv", f"from={msg.source} gen={msg.generation}")
+            evolution.pop = integrate_migrant(
+                evolution.pop, msg.individual, evolution.f, evolution.stats
             )
 
     def step_island(self, alias: str) -> None:
         """One turn for one island: drain mailbox, step, send to peers."""
-        session = self.sessions[alias]
-        self._drain_mailbox(session)
-        if session.finished:
+        evolution = self.sessions[alias]
+        self._drain_mailbox(alias)
+        if evolution.finished:
             return
-        cfg = session.config
-        session.pop = cfg.step(
-            session.pop, cfg.step_config, cfg.fitness, session.rng, session.stats
-        )
-        session.generation += 1
-        stats = session.stats
-        stats.generations_executed = session.generation
-        stats.best_per_generation.append((session.generation, session.best_fitness))
-        stats.cumulative_evaluations.append(stats.evaluations)
-        stats.elapsed_seconds.append(time.perf_counter() - session.start)
-        self._record(
-            alias,
-            "step",
-            f"gen={session.generation} size={len(session.pop)} "
-            f"best={session.best_fitness:g}",
-        )
+        evolution.advance()
+        generation = evolution.stats.generations_executed
+        best, size = evolution.pop[0].fitness, len(evolution.pop)
+        self._record(alias, "step", f"gen={generation} size={size} best={best:g}")
+        cfg = self._configs[alias]
         if cfg.peers:
-            migrant = select_migrant(cfg.migration_policy, session.pop)
+            migrant = select_migrant(cfg.migration_policy, evolution.pop)
         for peer in cfg.peers:
             # one copy per message: islands never share an Individual
             self.mailboxes[peer].append(
-                MigrantMessage(alias, session.generation, migrant.copy())
+                MigrantMessage(alias, generation, migrant.copy())
             )
             self.messages_sent += 1
-            self._record(alias, "send", f"to={peer} gen={session.generation}")
-        if cfg.terminator.should_stop(session.generation, session.best_fitness):
-            session.finished = True
+            self._record(alias, "send", f"to={peer} gen={generation}")
 
     def run(self) -> dict[str, tuple[list[Individual], RunStats]]:
         """Step all islands until every terminator has fired."""
-        while any(not s.finished for s in self.sessions.values()):
+        while any(not e.finished for e in self.sessions.values()):
             self.round += 1
-            for alias in self._order:
+            for alias in self._configs:
                 self.step_island(alias)
         # last senders may leave mail behind: deliver (and discard) it all
         self.round += 1
-        for alias in self._order:
-            self._drain_mailbox(self.sessions[alias])
+        for alias in self._configs:
+            self._drain_mailbox(alias)
         results = {}
-        for alias in self._order:
-            session = self.sessions[alias]
-            session.stats.wall_time = time.perf_counter() - session.start
-            results[alias] = (session.pop, session.stats)
+        for alias, evolution in self.sessions.items():
+            evolution.stats.wall_time = time.perf_counter() - evolution.start
+            results[alias] = (evolution.pop, evolution.stats)
         return results
 
 

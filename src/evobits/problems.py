@@ -7,6 +7,7 @@ oracle. Both must return the same id sets for every point.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
@@ -55,8 +56,8 @@ class RectangleArena:
     """Immutable collection of rectangles supporting point-stabbing queries."""
 
     def __init__(self, rectangles: Sequence[Rectangle], arena_side: float) -> None:
-        if arena_side <= 0:
-            raise ValueError(f"arena_side must be positive, got {arena_side}")
+        if not 0 < arena_side < math.inf:
+            raise ValueError(f"arena_side must be positive and finite, got {arena_side}")
         ids = [r.id for r in rectangles]
         if len(set(ids)) != len(ids):
             raise ValueError("rectangle ids must be unique")
@@ -130,8 +131,10 @@ class DotProblemConfig:
     def __post_init__(self) -> None:
         if self.num_rects < 1:
             raise ValueError(f"num_rects must be positive, got {self.num_rects}")
-        if self.arena_side <= 0:
-            raise ValueError(f"arena_side must be positive, got {self.arena_side}")
+        if not 0 < self.arena_side < math.inf:
+            raise ValueError(
+                f"arena_side must be positive and finite, got {self.arena_side}"
+            )
         if self.bits < 2 or self.bits % 2 != 0:
             raise ValueError(f"bits must be even and at least 2, got {self.bits}")
 

@@ -178,10 +178,36 @@ class TestRunCommand:
         # pop 16 plus max(1, round(0.2 * 16)) = 3 offspring after one step
         assert evaluations == 19
 
-    def test_bad_flag_value_is_config_error(self, capsys):
-        code, _, err = run_cli(["run", "--selection-rate", "2"], capsys)
+    @pytest.mark.parametrize(
+        "flags, key",
+        [
+            (["--selection-rate", "2"], "selection_rate"),
+            (["--target-fitness", "nan"], "target_fitness"),
+            (["--target-fitness=-inf"], "target_fitness"),
+            (["--arena-side", "inf"], "arena_side"),
+            (["--arena-side", "nan"], "arena_side"),
+            (["--mutation-rate", "inf"], "mutation_rate"),
+            (["--crossover-rate", "nan"], "crossover_rate"),
+            # each rate is finite, but their sum overflows
+            (["--mutation-rate", "1e308", "--crossover-rate", "1e308"], "rates"),
+        ],
+        ids=[
+            "selection_rate",
+            "target_fitness_nan",
+            "target_fitness_-inf",
+            "arena_side_inf",
+            "arena_side_nan",
+            "mutation_rate_inf",
+            "crossover_rate_nan",
+            "rate_sum_overflow",
+        ],
+    )
+    def test_bad_flag_value_is_config_error(self, flags, key, capsys):
+        code, out, err = run_cli(["run", *flags], capsys)
         assert code == 1
-        assert "selection_rate" in err
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("error: ") and key in line
 
     def test_unknown_flag_exits_one(self, capsys):
         code, _, err = run_cli(["run", "--warp-speed", "9"], capsys)

@@ -1,6 +1,7 @@
 """Tests for genomes, decoding, variation operators, and operator choice."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -232,6 +233,18 @@ class TestChooseOperator:
         with pytest.raises(ValueError):
             choose_operator(ops, RandomSource(0))
 
+    @pytest.mark.parametrize(
+        "rates", [(math.inf, 1.0), (math.nan, 1.0), (1e308, 1e308)]
+    )
+    def test_non_finite_rate_sum_rejected_before_drawing(self, rates):
+        ops = [BitFlip(), NPointCrossover()]
+        for op, rate in zip(ops, rates):
+            op.rate = rate
+        rng = RandomSource(5)
+        with pytest.raises(ValueError, match="finite"):
+            choose_operator(ops, rng)
+        assert rng.random() == RandomSource(5).random()
+
 
 class TestHamming:
     @pytest.mark.parametrize(
@@ -269,3 +282,10 @@ class TestOperatorSpecs:
             BitFlip(rate=0.0)
         with pytest.raises(ValueError):
             NPointCrossover(rate=-1.0)
+
+    @pytest.mark.parametrize("rate", [math.inf, math.nan])
+    def test_rejects_non_finite_rate(self, rate):
+        with pytest.raises(ValueError):
+            BitFlip(rate=rate)
+        with pytest.raises(ValueError):
+            NPointCrossover(rate=rate)

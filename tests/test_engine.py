@@ -423,6 +423,11 @@ class TestRun:
             values = [best for _, best in stats.best_per_generation]
             assert values == sorted(values)
 
+    @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
+    def test_target_must_be_finite(self, target):
+        with pytest.raises(ValueError):
+            TargetFitness(target)
+
     def test_terminator_validation(self):
         with pytest.raises(ValueError):
             MaxGenerations(0)

@@ -12,6 +12,7 @@ from evobits.engine import (
     MaxGenerations,
     RunStats,
     TargetFitness,
+    canonical_step,
     easy_step,
     evaluate_population,
     run,
@@ -232,18 +233,42 @@ class TestArchipelago:
         pattern = re.compile(r"^\d+ \S+ (step|send|recv) \S")
         assert arch.log and all(pattern.match(line) for line in arch.log)
 
-    def test_lone_island_matches_plain_engine_run(self):
-        results = run_archipelago([island("solo", [], seed=99, generations=12)])
+    @pytest.mark.parametrize("seed", [99, 7, 2024])
+    @pytest.mark.parametrize("step", [easy_step, canonical_step], ids=lambda s: s.__name__)
+    def test_lone_island_matches_plain_engine_run(self, step, seed):
+        results = run_archipelago(
+            [island("solo", [], seed=seed, generations=12, step=step)]
+        )
         island_pop, island_stats = results["solo"]
 
-        rng = RandomSource(99)
+        rng = RandomSource(seed)
         pop = [Individual(random_genome(24, rng)) for _ in range(16)]
-        final, stats = run(
-            pop, easy_step, step_config(), onemax, [MaxGenerations(12)], rng
-        )
+        final, stats = run(pop, step, step_config(), onemax, [MaxGenerations(12)], rng)
         assert island_stats.best_per_generation == stats.best_per_generation
         assert [str(i.genome) for i in island_pop] == [str(i.genome) for i in final]
         assert island_stats.evaluations == stats.evaluations
+        assert island_stats.cumulative_evaluations == stats.cumulative_evaluations
+
+    def test_migrant_meeting_target_stops_island_only_after_its_next_step(self):
+        cfg = IslandConfig(
+            alias="solo",
+            peers=[],
+            fitness=onemax,
+            pop_size=16,
+            genome_length=24,
+            step_config=step_config(),
+            terminator=TargetFitness(24.0),
+            seed=72,
+        )
+        arch = Archipelago([cfg])
+        session = arch.sessions["solo"]
+        assert not session.finished and session.pop[0].fitness < 24
+        migrant = Individual(BitGenome.from_string("1" * 24))
+        arch.mailboxes["solo"].append(MigrantMessage("elsewhere", 1, migrant))
+        arch.step_island("solo")
+        assert session.stats.generations_executed == 1
+        assert session.finished
+        assert session.stats.best_per_generation == [(1, 24.0)]
 
     def test_lone_island_sends_nothing(self):
         arch = Archipelago([island("solo", [], seed=7, generations=5)])

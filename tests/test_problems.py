@@ -1,5 +1,7 @@
 """Tests for the rectangle arena, bundled fitness functions, and the grid oracle."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -82,6 +84,11 @@ class TestRectangleArena:
         with pytest.raises(ValueError):
             RectangleArena([], 0.0)
 
+    @pytest.mark.parametrize("side", [math.inf, math.nan])
+    def test_non_finite_side_rejected(self, side):
+        with pytest.raises(ValueError):
+            RectangleArena([], side)
+
 
 class TestGenerateRandomArena:
     def test_creates_one_extra_rectangle(self):
@@ -135,6 +142,11 @@ class TestDotFitness:
             DotProblemConfig(bits=7)
         with pytest.raises(ValueError):
             DotProblemConfig(num_rects=0)
+
+    @pytest.mark.parametrize("side", [0.0, math.inf, math.nan])
+    def test_arena_side_must_be_positive_and_finite(self, side):
+        with pytest.raises(ValueError):
+            DotProblemConfig(arena_side=side)
 
 
 class TestOnemax:
