@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
-from .core import BitFlip, NPointCrossover, RandomSource, random_genome
+from .core import BitFlip, NPointCrossover, RandomSource, derived_seed, random_genome
 from .engine import (
     EasyStepConfig,
     EvaluationError,
@@ -27,6 +26,7 @@ from .engine import (
     canonical_step,
     easy_step,
     run,
+    turnover_count,
 )
 from .islands import IslandConfig, MigrationPolicy, run_archipelago
 from .problems import (
@@ -73,32 +73,36 @@ class ExperimentConfig:
 
 
 _PROBLEMS = ("dot", "onemax", "royalroad")
-_POLICIES = {
-    "best": MigrationPolicy.BEST,
-    "mostdifferent": MigrationPolicy.MOST_DIFFERENT,
-}
 
-# key -> (cast from string, accept parsed value, requirement shown on rejection)
-_KEYS: dict[str, tuple[Callable[[str], object], Callable, str]] = {
-    "problem": (str, lambda v: v in _PROBLEMS, f"must be one of {', '.join(_PROBLEMS)}"),
-    "num_rects": (int, lambda v: v >= 1, "must be at least 1"),
-    "arena_side": (float, lambda v: 0 < v < math.inf, "must be positive and finite"),
-    "bits": (int, lambda v: v >= 1, "must be at least 1"),
-    "block_size": (int, lambda v: v >= 1, "must be at least 1"),
-    "pop_size": (int, lambda v: v >= 2, "must be at least 2"),
-    "max_generations": (int, lambda v: v >= 1, "must be at least 1"),
-    "selection_rate": (float, lambda v: 0.0 < v < 1.0, "must be in (0, 1)"),
-    "mutation_rate": (float, lambda v: 0 < v < math.inf, "must be positive and finite"),
-    "crossover_rate": (float, lambda v: 0 < v < math.inf, "must be positive and finite"),
-    "crossover_points": (int, lambda v: v >= 1, "must be at least 1"),
-    "seed": (int, lambda v: 0 <= v < 2**64, "must be a 64-bit unsigned integer"),
-    "target_fitness": (float, math.isfinite, "must be finite"),
-    "islands": (int, lambda v: v >= 2, "must be at least 2"),
-    "migration_policy": (str, lambda v: v in _POLICIES, "must be best or mostdifferent"),
-    "repetitions": (int, lambda v: v >= 1, "must be at least 1"),
-    "arena_file": (str, lambda v: True, ""),
-    "dot_x": (float, lambda v: True, ""),
-    "dot_y": (float, lambda v: True, ""),
+
+def _rule(accept: Callable[[Any], bool], requirement: str) -> Callable[[Any], None]:
+    def check(value: Any) -> None:
+        if not accept(value):
+            raise ValueError(f"{requirement}, got {value!r}")
+    return check
+
+
+# key -> (cast from string, owner raising ValueError on a value it cannot use)
+_KEYS: dict[str, tuple[Callable[[str], Any], Callable[[Any], object] | None]] = {
+    "problem": (str, _rule(_PROBLEMS.__contains__, f"must be one of {', '.join(_PROBLEMS)}")),
+    "num_rects": (int, lambda v: DotProblemConfig(num_rects=v)),
+    "arena_side": (float, lambda v: DotProblemConfig(arena_side=v)),
+    "bits": (int, _rule(lambda v: v >= 1, "must be at least 1")),
+    "block_size": (int, _rule(lambda v: v >= 1, "must be at least 1")),
+    "pop_size": (int, _rule(lambda v: v >= 2, "must be at least 2")),
+    "max_generations": (int, MaxGenerations),
+    "selection_rate": (float, lambda v: EasyStepConfig(v, [BitFlip()])),
+    "mutation_rate": (float, lambda v: BitFlip(rate=v)),
+    "crossover_rate": (float, lambda v: NPointCrossover(rate=v)),
+    "crossover_points": (int, lambda v: NPointCrossover(points=v)),
+    "seed": (int, RandomSource),
+    "target_fitness": (float, TargetFitness),
+    "islands": (int, _rule(lambda v: v >= 2, "must be at least 2")),
+    "migration_policy": (str, MigrationPolicy),
+    "repetitions": (int, _rule(lambda v: v >= 1, "must be at least 1")),
+    "arena_file": (str, None),
+    "dot_x": (float, None),
+    "dot_y": (float, None),
 }
 
 # legacy trailing arguments, in their historical order
@@ -114,22 +118,30 @@ _POSITIONAL_KEYS = (
 )
 
 
+def _owned(keys: str, owner: Callable[..., object], *args: Any) -> None:
+    """Call ``owner(*args)``; a value it rejects is a ConfigError naming ``keys``."""
+    try:
+        owner(*args)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"{keys}: {exc}") from None
+
+
 def _apply(cfg: ExperimentConfig, key: str, value: str, where: str) -> None:
     if key not in _KEYS:
         raise ConfigError(f"{where}: unknown key {key!r}")
-    cast, accept, requirement = _KEYS[key]
+    cast, owner = _KEYS[key]
     try:
         parsed = cast(value)
     except ValueError:
         raise ConfigError(f"{where}: invalid value for {key}: {value!r}") from None
-    if not accept(parsed):
-        raise ConfigError(f"{where}: {key} {requirement}, got {value}")
+    if owner is not None:
+        _owned(f"{where}: {key}", owner, parsed)
     setattr(cfg, key, parsed)
 
 
 def _check_cross_field(cfg: ExperimentConfig) -> None:
-    if cfg.problem == "dot" and cfg.bits % 2 != 0:
-        raise ConfigError(f"bits must be even for the dot problem, got {cfg.bits}")
+    if cfg.problem == "dot":
+        _owned("bits", DotProblemConfig, cfg.num_rects, cfg.arena_side, cfg.bits)
     if cfg.problem == "royalroad" and cfg.bits % cfg.block_size != 0:
         raise ConfigError(
             f"block_size {cfg.block_size} does not divide bits {cfg.bits}"
@@ -139,6 +151,8 @@ def _check_cross_field(cfg: ExperimentConfig) -> None:
             f"crossover_points must be below bits ({cfg.bits}), "
             f"got {cfg.crossover_points}"
         )
+    _owned("mutation_rate, crossover_rate", _step_config, cfg)
+    _owned("selection_rate, pop_size", turnover_count, cfg.selection_rate, cfg.pop_size)
 
 
 def parse_config(
@@ -149,8 +163,8 @@ def parse_config(
     """Build an :class:`ExperimentConfig` from a ``key = value`` file and flags.
 
     Precedence, lowest first: built-in defaults, ``defaults``, the config
-    file, then ``overrides`` (command-line values). Unknown keys and
-    out-of-range values are rejected with the offending key and line.
+    file, then ``overrides`` (command-line values). Every value and every rule
+    across keys is checked here; a rejection names the offending key and line.
     """
     cfg = ExperimentConfig()
     for key, value in (defaults or {}).items():
@@ -172,10 +186,6 @@ def parse_config(
         _apply(cfg, key, value, "command line")
     _check_cross_field(cfg)
     return cfg
-
-
-def _derived_seed(seed: int, offset: int) -> int:
-    return (seed + offset) % 2**64
 
 
 # arena generation draws from its own stream so a run's trajectory is the
@@ -203,8 +213,14 @@ def _build_problem(
         dot_cfg = DotProblemConfig(cfg.num_rects, cfg.arena_side, cfg.bits)
         if cfg.arena_file is not None and Path(cfg.arena_file).exists():
             arena = load_arena(cfg.arena_file, cfg.arena_side)
+            # the count a generated arena has; num_rects also sets the target
+            if len(arena) != cfg.num_rects + 1:
+                raise ConfigError(
+                    f"{cfg.arena_file} holds {len(arena)} rectangles, "
+                    f"num_rects {cfg.num_rects} needs {cfg.num_rects + 1}"
+                )
         else:
-            arena_rng = RandomSource(_derived_seed(cfg.seed, _ARENA_STREAM))
+            arena_rng = RandomSource(derived_seed(cfg.seed, _ARENA_STREAM))
             arena = generate_random_arena(dot_cfg, arena_rng)
             if cfg.arena_file is not None:
                 save_arena(arena, cfg.arena_file)
@@ -215,11 +231,10 @@ def _build_problem(
     return (lambda genome: royal_road(genome, block)), cfg.bits, None
 
 
-def _operators(cfg: ExperimentConfig) -> list:
-    return [
-        BitFlip(flip_count=1, rate=cfg.mutation_rate),
-        NPointCrossover(points=cfg.crossover_points, rate=cfg.crossover_rate),
-    ]
+def _step_config(cfg: ExperimentConfig) -> EasyStepConfig:
+    mutation = BitFlip(flip_count=1, rate=cfg.mutation_rate)
+    crossover = NPointCrossover(points=cfg.crossover_points, rate=cfg.crossover_rate)
+    return EasyStepConfig(cfg.selection_rate, [mutation, crossover])
 
 
 def _initial_population(length: int, size: int, rng: RandomSource) -> list[Individual]:
@@ -246,7 +261,7 @@ def _cmd_run(cfg: ExperimentConfig) -> int:
     rng = RandomSource(cfg.seed)
     fitness, length, _arena = _build_problem(cfg)
     target = _default_target(cfg)
-    step_cfg = EasyStepConfig(cfg.selection_rate, _operators(cfg))
+    step_cfg = _step_config(cfg)
     pop = _initial_population(length, cfg.pop_size, rng)
     terminators = [MaxGenerations(cfg.max_generations), TargetFitness(target)]
     final, stats = run(pop, easy_step, step_cfg, fitness, terminators, rng)
@@ -263,10 +278,10 @@ def _cmd_run(cfg: ExperimentConfig) -> int:
 
 def _cmd_islands(cfg: ExperimentConfig) -> int:
     count = cfg.islands if cfg.islands is not None else 2
-    policy = _POLICIES[cfg.migration_policy]
+    policy = MigrationPolicy(cfg.migration_policy)
     fitness, length, _arena = _build_problem(cfg)
     target = _default_target(cfg)
-    step_cfg = EasyStepConfig(cfg.selection_rate, _operators(cfg))
+    step_cfg = _step_config(cfg)
     aliases = [f"node_{i}" for i in range(1, count + 1)]
     configs = [
         IslandConfig(
@@ -279,7 +294,7 @@ def _cmd_islands(cfg: ExperimentConfig) -> int:
             terminator=MaxGenerations(cfg.max_generations),
             step=canonical_step,
             migration_policy=policy,
-            seed=_derived_seed(cfg.seed, i),
+            seed=derived_seed(cfg.seed, i),
         )
         for i, alias in enumerate(aliases, 1)
     ]
@@ -307,7 +322,8 @@ def _cmd_islands(cfg: ExperimentConfig) -> int:
 
 
 def _cmd_bench(cfg: ExperimentConfig) -> int:
-    step_cfg = EasyStepConfig(cfg.selection_rate, _operators(cfg))
+    fitness, length, _arena = _build_problem(cfg)
+    step_cfg = _step_config(cfg)
     writer = _writer()
     writer.writerow(
         [
@@ -326,8 +342,7 @@ def _cmd_bench(cfg: ExperimentConfig) -> int:
     mean_gen_ms = []
     min_gen_ms = []
     for rep in range(1, cfg.repetitions + 1):
-        rng = RandomSource(_derived_seed(cfg.seed, rep))
-        fitness, length, _arena = _build_problem(cfg)
+        rng = RandomSource(derived_seed(cfg.seed, rep))
         pop = _initial_population(length, cfg.pop_size, rng)
         _, stats = run(
             pop, easy_step, step_cfg, fitness, [MaxGenerations(cfg.max_generations)], rng
@@ -477,7 +492,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "islands":
             return _cmd_islands(cfg)
         return _cmd_bench(cfg)
-    except (ConfigError, EvaluationError, ValueError, OSError) as exc:
+    except (ConfigError, EvaluationError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -20,6 +20,7 @@ __all__ = [
     "bitflip",
     "choose_operator",
     "decode",
+    "derived_seed",
     "hamming",
     "n_point_crossover",
     "random_genome",
@@ -61,6 +62,11 @@ class RandomSource:
         return f"RandomSource(seed={self.seed})"
 
 
+def derived_seed(seed: int, offset: int) -> int:
+    """Seed of the stream ``offset`` places after ``seed``, kept in the 64-bit range."""
+    return (seed + offset) % _SEED_LIMIT
+
+
 @dataclass(frozen=True)
 class BitGenome:
     """Fixed-length vector of 0/1 genes."""
@@ -91,8 +97,6 @@ class BitGenome:
 
 def random_genome(length: int, rng: RandomSource) -> BitGenome:
     """Genome of ``length`` bits, each independently 0 or 1 with p = 0.5."""
-    if length < 1:
-        raise ValueError(f"genome length must be positive, got {length}")
     return BitGenome(tuple(rng.randrange(2) for _ in range(length)))
 
 
@@ -213,26 +217,30 @@ class NPointCrossover:
 OperatorSpec = Union[BitFlip, NPointCrossover]
 
 
+def _rate_total(ops: Sequence[OperatorSpec]) -> float:
+    """Sum of the rates of one or more operators, each positive, to a finite total."""
+    if not ops:
+        raise ValueError("at least one variation operator is required")
+    total = 0.0
+    for op in ops:
+        if op.rate <= 0:
+            raise ValueError(f"operator rate must be positive, got {op.rate}")
+        total += op.rate
+    # an infinite or NaN total would send every draw to the last operator
+    if not math.isfinite(total):
+        raise ValueError(f"operator rates must sum to a finite total, got {total}")
+    return total
+
+
 def choose_operator(ops: Sequence[OperatorSpec], rng: RandomSource) -> int:
     """Index of one operator, drawn with probability rate_i / sum(rates).
 
     Rates are normalized at call time, so they may be changed between calls.
     """
-    if not ops:
-        raise ValueError("operator list must not be empty")
-    rates = []
-    for op in ops:
-        if op.rate <= 0:
-            raise ValueError(f"operator rate must be positive, got {op.rate}")
-        rates.append(op.rate)
-    total = sum(rates)
-    # an infinite or NaN total would send every draw to the last operator
-    if not math.isfinite(total):
-        raise ValueError(f"operator rates must sum to a finite total, got {total}")
-    u = rng.random() * total
+    u = _rate_total(ops) * rng.random()  # rates checked before the draw
     acc = 0.0
-    for i, rate in enumerate(rates):
-        acc += rate
+    for i, op in enumerate(ops):
+        acc += op.rate
         if u < acc:
             return i
-    return len(rates) - 1
+    return len(ops) - 1

@@ -15,7 +15,7 @@ from itertools import accumulate
 from numbers import Real
 from typing import Callable, Sequence, Union
 
-from .core import BitGenome, OperatorSpec, RandomSource, choose_operator
+from .core import BitGenome, OperatorSpec, RandomSource, _rate_total, choose_operator
 
 __all__ = [
     "EasyStepConfig",
@@ -33,6 +33,7 @@ __all__ = [
     "evaluate_population",
     "run",
     "sort_by_fitness",
+    "turnover_count",
 ]
 
 FitnessFunction = Callable[[BitGenome], float]
@@ -74,8 +75,7 @@ class EasyStepConfig:
             raise ValueError(
                 f"selection_rate must be in (0, 1), got {self.selection_rate}"
             )
-        if not self.operators:
-            raise ValueError("at least one variation operator is required")
+        _rate_total(self.operators)
 
 
 @dataclass(frozen=True)
@@ -163,24 +163,15 @@ def sort_by_fitness(pop: Sequence[Individual]) -> list[Individual]:
     return sorted(pop, key=lambda ind: ind.fitness, reverse=True)
 
 
-def _rank(
-    pop: Sequence[Individual], cfg: EasyStepConfig, f: FitnessFunction, stats: RunStats
-) -> tuple[list[Individual], int]:
-    """The population evaluated and sorted best-first, and the step's turnover
-    count ``max(1, round(selection_rate * N))``, which must stay below N."""
-    size = len(pop)
-    if size < 2:
-        raise ValueError(f"population must hold at least 2 individuals, got {size}")
-    evaluate_population(pop, f, stats)
-    ranked = sort_by_fitness(pop)
-    # round half up
-    count = max(1, math.floor(cfg.selection_rate * size + 0.5))
+def turnover_count(selection_rate: float, size: int) -> int:
+    """Individuals a step turns over, ``max(1, round(selection_rate * size))``
+    rounded half up; it must stay below ``size``, so ``size`` is at least 2."""
+    count = max(1, math.floor(selection_rate * size + 0.5))
     if count >= size:
         raise ValueError(
-            f"selection_rate {cfg.selection_rate} rounds to the whole population "
-            f"of {size}"
+            f"selection_rate {selection_rate} rounds to the whole population of {size}"
         )
-    return ranked, count
+    return count
 
 
 def _spin(cumulative: Sequence[float], rng: RandomSource) -> int:
@@ -255,7 +246,8 @@ def easy_step(
     are removed and replaced by offspring of fitness-proportionally chosen
     survivors. Population size is preserved; the result is sorted best-first.
     """
-    ranked, replaced = _rank(pop, cfg, f, stats)
+    replaced = turnover_count(cfg.selection_rate, len(pop))
+    ranked = sort_by_fitness(evaluate_population(pop, f, stats))
     survivors = ranked[:-replaced]
     offspring = _make_offspring(replaced, survivors, cfg, rng)
     evaluate_population(offspring, f, stats)
@@ -275,7 +267,8 @@ def canonical_step(
     unchanged; every remaining slot is filled with an offspring whose parents
     are drawn fitness-proportionally from the whole previous population.
     """
-    ranked, elite_count = _rank(pop, cfg, f, stats)
+    elite_count = turnover_count(cfg.selection_rate, len(pop))
+    ranked = sort_by_fitness(evaluate_population(pop, f, stats))
     elites = [ind.copy() for ind in ranked[:elite_count]]
     offspring = _make_offspring(len(ranked) - elite_count, ranked, cfg, rng)
     evaluate_population(offspring, f, stats)

@@ -41,9 +41,11 @@ class Rectangle:
     y1: float
 
     def __post_init__(self) -> None:
-        if self.x0 > self.x1 or self.y0 > self.y1:
+        # one chained test: false for NaN and infinite corners as well
+        if not (-math.inf < self.x0 <= self.x1 < math.inf
+                and -math.inf < self.y0 <= self.y1 < math.inf):
             raise ValueError(
-                f"rectangle {self.id!r} has inverted corners: "
+                f"rectangle {self.id!r} needs finite, ordered corners, got "
                 f"({self.x0}, {self.y0})-({self.x1}, {self.y1})"
             )
 
@@ -99,10 +101,9 @@ class RectangleArena:
                     f"line {lineno}: expected 'id x0 y0 x1 y1', got {line!r}"
                 )
             try:
-                coords = [float(p) for p in parts[1:]]
+                rectangles.append(Rectangle(parts[0], *map(float, parts[1:])))
             except ValueError as exc:
-                raise ValueError(f"line {lineno}: bad coordinate: {exc}") from exc
-            rectangles.append(Rectangle(parts[0], *coords))
+                raise ValueError(f"line {lineno}: {exc}") from None
         return cls(rectangles, arena_side)
 
 
@@ -111,9 +112,10 @@ def save_arena(arena: RectangleArena, path: str | Path) -> None:
 
 
 def load_arena(path: str | Path, arena_side: float) -> RectangleArena:
-    return RectangleArena.from_lines(
-        Path(path).read_text().splitlines(), arena_side
-    )
+    try:
+        return RectangleArena.from_lines(Path(path).read_text().splitlines(), arena_side)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -131,9 +133,10 @@ class DotProblemConfig:
     def __post_init__(self) -> None:
         if self.num_rects < 1:
             raise ValueError(f"num_rects must be positive, got {self.num_rects}")
-        if not 0 < self.arena_side < math.inf:
+        # generated rectangles reach up to twice the side, which must stay finite
+        if not 0 < 2 * self.arena_side < math.inf:
             raise ValueError(
-                f"arena_side must be positive and finite, got {self.arena_side}"
+                f"arena_side must be positive and finite when doubled, got {self.arena_side}"
             )
         if self.bits < 2 or self.bits % 2 != 0:
             raise ValueError(f"bits must be even and at least 2, got {self.bits}")

@@ -1,8 +1,12 @@
 """Tests for config parsing, the run/islands/bench subcommands, and exit codes."""
 
+import contextlib
+import io
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evobits.cli import ConfigError, ExperimentConfig, main, parse_config
 from evobits.problems import load_arena
@@ -179,17 +183,23 @@ class TestRunCommand:
         assert evaluations == 19
 
     @pytest.mark.parametrize(
-        "flags, key",
+        "argv, key",
         [
-            (["--selection-rate", "2"], "selection_rate"),
-            (["--target-fitness", "nan"], "target_fitness"),
-            (["--target-fitness=-inf"], "target_fitness"),
-            (["--arena-side", "inf"], "arena_side"),
-            (["--arena-side", "nan"], "arena_side"),
-            (["--mutation-rate", "inf"], "mutation_rate"),
-            (["--crossover-rate", "nan"], "crossover_rate"),
+            (["run", "--selection-rate", "2"], "selection_rate"),
+            (["run", "--target-fitness", "nan"], "target_fitness"),
+            (["run", "--target-fitness=-inf"], "target_fitness"),
+            (["run", "--arena-side", "inf"], "arena_side"),
+            (["run", "--arena-side", "nan"], "arena_side"),
+            (["run", "--mutation-rate", "inf"], "mutation_rate"),
+            (["run", "--crossover-rate", "nan"], "crossover_rate"),
             # each rate is finite, but their sum overflows
-            (["--mutation-rate", "1e308", "--crossover-rate", "1e308"], "rates"),
+            (["run", "--mutation-rate", "1e308", "--crossover-rate", "1e308"], "rates"),
+            # max(1, round(0.75 * 2)) would turn over the whole population
+            (["run", "--pop-size", "2", "--selection-rate", "0.75"], "selection_rate"),
+            (["islands", "--islands", "1"], "islands"),
+            (["run", "--problem", "nope"], "problem"),
+            (["islands", "--policy", "nope"], "migration_policy"),
+            (["run", "--seed", "-1"], "seed"),
         ],
         ids=[
             "selection_rate",
@@ -200,14 +210,35 @@ class TestRunCommand:
             "mutation_rate_inf",
             "crossover_rate_nan",
             "rate_sum_overflow",
+            "turnover_whole_population",
+            "islands_1",
+            "problem_nope",
+            "policy_nope",
+            "seed_negative",
         ],
     )
-    def test_bad_flag_value_is_config_error(self, flags, key, capsys):
-        code, out, err = run_cli(["run", *flags], capsys)
+    def test_bad_flag_value_is_config_error(self, argv, key, capsys):
+        code, out, err = run_cli(argv, capsys)
         assert code == 1
         assert out == ""
         (line,) = err.splitlines()
         assert line.startswith("error: ") and key in line
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--pop-size", "2", "--selection-rate", "0.75"],
+            ["--mutation-rate", "1e308", "--crossover-rate", "1e308"],
+        ],
+        ids=["turnover_whole_population", "rate_sum_overflow"],
+    )
+    def test_config_rejected_before_arena_file_is_written(self, flags, tmp_path, capsys):
+        arena_path = tmp_path / "arena.txt"
+        code, out, err = run_cli(["run", "--arena-file", str(arena_path), *flags], capsys)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert not arena_path.exists()
 
     def test_unknown_flag_exits_one(self, capsys):
         code, _, err = run_cli(["run", "--warp-speed", "9"], capsys)
@@ -229,6 +260,31 @@ class TestRunCommand:
         _, second, _ = run_cli(argv, capsys)
         assert arena_path.read_text() == saved
         assert strip_timing(first) == strip_timing(second)
+
+    def test_non_finite_arena_coordinates_rejected(self, tmp_path, capsys):
+        arena_path = tmp_path / "arena.txt"
+        arena_path.write_text("rectangle_0 nan 0 5 5\nrectangle_1 1 1 inf 2\n")
+        code, out, err = run_cli(
+            ["run", "--arena-file", str(arena_path), "--num-rects", "1"], capsys
+        )
+        assert code == 1
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("error: ") and "line 1" in line and "finite" in line
+
+    @pytest.mark.parametrize("rectangles", [1, 25, 27])
+    def test_arena_rectangle_count_must_match_num_rects(self, rectangles, tmp_path, capsys):
+        # a generated arena holds num_rects + 1 = 26 rectangles
+        arena_path = tmp_path / "arena.txt"
+        arena_path.write_text(
+            "".join(f"rectangle_{i} 0 0 5 5\n" for i in range(rectangles))
+        )
+        code, out, err = run_cli(["run", "--arena-file", str(arena_path)], capsys)
+        assert code == 1
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("error: ") and f"{rectangles} rectangles" in line
+        assert "num_rects 25 needs 26" in line
 
     def test_arena_file_matches_generated_arena(self, tmp_path, capsys):
         # pinning the arena to a file must not change the run itself
@@ -320,3 +376,43 @@ class TestBenchCommand:
         assert generations == 100
         # onemax, pop 256: 256 initial + 100 generations x 51 offspring
         assert evaluations == 256 + 100 * 51
+
+
+# every value flag of run/islands/bench; a flag a subcommand lacks is a usage error
+_VALUE_FLAGS = [
+    "--problem", "--seed", "--num-rects", "--arena-side", "--bits", "--block-size",
+    "--pop-size", "--max-generations", "--selection-rate", "--mutation-rate",
+    "--crossover-rate", "--crossover-points", "--target-fitness", "--dot-x", "--dot-y",
+    "--islands", "--policy", "--repetitions",
+]
+# small integers keep every accepted run tiny; the rest probe parsing and ranges
+_VALUES = st.one_of(
+    st.integers(-2, 9).map(str),
+    st.sampled_from(
+        ["0", "0.5", "0.75", "1e308", "5e-324", "inf", "-inf", "nan", "", "x", "1_0",
+         "dot", "onemax", "royalroad", "best", "mostdifferent"]
+    ),
+    st.floats().map(repr),
+    st.text(max_size=4),
+)
+
+
+class TestCliBoundary:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        command=st.sampled_from(["run", "islands", "bench"]),
+        pairs=st.lists(st.tuples(st.sampled_from(_VALUE_FLAGS), _VALUES), max_size=5),
+    )
+    def test_any_flags_exit_cleanly(self, command, pairs):
+        tiny = ["--bits", "8", "--pop-size", "4", "--max-generations", "2", "--num-rects", "2"]
+        if command == "bench":
+            tiny += ["--repetitions", "1"]
+        argv = [command, *tiny, *(item for pair in pairs for item in pair)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert out.getvalue() == ""
+            errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+            assert len(errors) == 1

@@ -28,6 +28,7 @@ from evobits.engine import (
     evaluate_population,
     run,
     sort_by_fitness,
+    turnover_count,
 )
 from evobits.problems import DotProblemConfig, dot_fitness, generate_random_arena, onemax
 
@@ -298,6 +299,27 @@ class TestEasyStep:
         pop, rng = fresh_population(1, 8, 12)
         with pytest.raises(ValueError):
             easy_step(pop, default_config(), onemax, rng, RunStats())
+
+    @pytest.mark.parametrize(
+        "rate, size, count",
+        [(0.2, 64, 13), (0.2, 10, 2), (0.25, 10, 3), (0.01, 10, 1), (0.2, 2, 1), (0.94, 10, 9)],
+    )
+    def test_turnover_count_rounds_half_up(self, rate, size, count):
+        assert turnover_count(rate, size) == count
+
+    @pytest.mark.parametrize("rate, size", [(0.75, 2), (0.95, 10), (0.5, 1)])
+    def test_turnover_of_whole_population_rejected(self, rate, size):
+        with pytest.raises(ValueError, match="whole population"):
+            turnover_count(rate, size)
+
+    @pytest.mark.parametrize(
+        "operators",
+        [[], [BitFlip(rate=1e308), NPointCrossover(rate=1e308)]],
+        ids=["no_operators", "rate_sum_overflow"],
+    )
+    def test_step_config_rejects_unusable_operators(self, operators):
+        with pytest.raises(ValueError):
+            EasyStepConfig(selection_rate=0.2, operators=operators)
 
 
 class TestCanonicalStep:

@@ -54,6 +54,22 @@ class TestRectangle:
         with pytest.raises(ValueError):
             Rectangle("a", 5, 0, 4, 10)
 
+    @pytest.mark.parametrize(
+        "corners",
+        [
+            (math.nan, 0, 5, 5),
+            (0, math.nan, 5, 5),
+            (0, 0, math.nan, 5),
+            (0, 0, 5, math.nan),
+            (1, 1, math.inf, 2),
+            (-math.inf, 0, 5, 5),
+            (0, -math.inf, 5, math.inf),
+        ],
+    )
+    def test_non_finite_corner_rejected(self, corners):
+        with pytest.raises(ValueError, match="finite"):
+            Rectangle("a", *corners)
+
 
 class TestRectangleArena:
     def test_duplicate_ids_rejected(self):
@@ -143,7 +159,8 @@ class TestDotFitness:
         with pytest.raises(ValueError):
             DotProblemConfig(num_rects=0)
 
-    @pytest.mark.parametrize("side", [0.0, math.inf, math.nan])
+    # 1e308: a generated rectangle's far corner, up to twice the side, overflows
+    @pytest.mark.parametrize("side", [0.0, math.inf, math.nan, 1e308])
     def test_arena_side_must_be_positive_and_finite(self, side):
         with pytest.raises(ValueError):
             DotProblemConfig(arena_side=side)
@@ -230,3 +247,14 @@ class TestArenaSerialization:
     def test_bad_coordinate_rejected(self):
         with pytest.raises(ValueError, match="line 2"):
             RectangleArena.from_lines(["a 1 2 3 4", "b 1 2 three 4"], 10.0)
+
+    def test_non_finite_coordinate_rejected_with_line(self):
+        lines = ["rectangle_0 0 0 5 5", "rectangle_1 1 1 inf 2"]
+        with pytest.raises(ValueError, match="line 2: .*finite"):
+            RectangleArena.from_lines(lines, 10.0)
+
+    def test_load_error_names_file_and_line(self, tmp_path):
+        path = tmp_path / "arena.txt"
+        path.write_text("rectangle_0 nan 0 5 5\n")
+        with pytest.raises(ValueError, match=r"arena\.txt: line 1: "):
+            load_arena(path, 10.0)
