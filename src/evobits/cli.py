@@ -31,7 +31,6 @@ from .engine import (
 from .islands import IslandConfig, MigrationPolicy, run_archipelago
 from .problems import (
     DotProblemConfig,
-    RectangleArena,
     dot_fitness,
     generate_random_arena,
     load_arena,
@@ -153,6 +152,10 @@ def _check_cross_field(cfg: ExperimentConfig) -> None:
         )
     _owned("mutation_rate, crossover_rate", _step_config, cfg)
     _owned("selection_rate, pop_size", turnover_count, cfg.selection_rate, cfg.pop_size)
+    if cfg.target_fitness is None:
+        # no owner bounds a size, but the default target converts one to a float
+        size_key = "num_rects" if cfg.problem == "dot" else "bits"
+        _owned(size_key, lambda: TargetFitness(_default_target(cfg)))
 
 
 def parse_config(
@@ -205,10 +208,8 @@ def _default_target(cfg: ExperimentConfig) -> float:
     return float(cfg.bits // cfg.block_size)
 
 
-def _build_problem(
-    cfg: ExperimentConfig,
-) -> tuple[FitnessFunction, int, RectangleArena | None]:
-    """Fitness function, genome length, and (for dot) the arena in use."""
+def _build_problem(cfg: ExperimentConfig) -> FitnessFunction:
+    """Fitness function of the configured problem, over ``cfg.bits``-bit genomes."""
     if cfg.problem == "dot":
         dot_cfg = DotProblemConfig(cfg.num_rects, cfg.arena_side, cfg.bits)
         if cfg.arena_file is not None and Path(cfg.arena_file).exists():
@@ -224,11 +225,11 @@ def _build_problem(
             arena = generate_random_arena(dot_cfg, arena_rng)
             if cfg.arena_file is not None:
                 save_arena(arena, cfg.arena_file)
-        return dot_fitness(dot_cfg, arena), cfg.bits, arena
+        return dot_fitness(dot_cfg, arena)
     if cfg.problem == "onemax":
-        return onemax, cfg.bits, None
+        return onemax
     block = cfg.block_size
-    return (lambda genome: royal_road(genome, block)), cfg.bits, None
+    return lambda genome: royal_road(genome, block)
 
 
 def _step_config(cfg: ExperimentConfig) -> EasyStepConfig:
@@ -259,10 +260,10 @@ def _emit_result_rows(writer, stats: RunStats, prefix: Sequence = ()) -> None:
 
 def _cmd_run(cfg: ExperimentConfig) -> int:
     rng = RandomSource(cfg.seed)
-    fitness, length, _arena = _build_problem(cfg)
+    fitness = _build_problem(cfg)
     target = _default_target(cfg)
     step_cfg = _step_config(cfg)
-    pop = _initial_population(length, cfg.pop_size, rng)
+    pop = _initial_population(cfg.bits, cfg.pop_size, rng)
     terminators = [MaxGenerations(cfg.max_generations), TargetFitness(target)]
     final, stats = run(pop, easy_step, step_cfg, fitness, terminators, rng)
     writer = _writer()
@@ -279,7 +280,7 @@ def _cmd_run(cfg: ExperimentConfig) -> int:
 def _cmd_islands(cfg: ExperimentConfig) -> int:
     count = cfg.islands if cfg.islands is not None else 2
     policy = MigrationPolicy(cfg.migration_policy)
-    fitness, length, _arena = _build_problem(cfg)
+    fitness = _build_problem(cfg)
     target = _default_target(cfg)
     step_cfg = _step_config(cfg)
     aliases = [f"node_{i}" for i in range(1, count + 1)]
@@ -289,7 +290,7 @@ def _cmd_islands(cfg: ExperimentConfig) -> int:
             peers=[peer for peer in aliases if peer != alias],
             fitness=fitness,
             pop_size=cfg.pop_size,
-            genome_length=length,
+            genome_length=cfg.bits,
             step_config=step_cfg,
             terminator=MaxGenerations(cfg.max_generations),
             step=canonical_step,
@@ -322,7 +323,7 @@ def _cmd_islands(cfg: ExperimentConfig) -> int:
 
 
 def _cmd_bench(cfg: ExperimentConfig) -> int:
-    fitness, length, _arena = _build_problem(cfg)
+    fitness = _build_problem(cfg)
     step_cfg = _step_config(cfg)
     writer = _writer()
     writer.writerow(
@@ -343,7 +344,7 @@ def _cmd_bench(cfg: ExperimentConfig) -> int:
     min_gen_ms = []
     for rep in range(1, cfg.repetitions + 1):
         rng = RandomSource(derived_seed(cfg.seed, rep))
-        pop = _initial_population(length, cfg.pop_size, rng)
+        pop = _initial_population(cfg.bits, cfg.pop_size, rng)
         _, stats = run(
             pop, easy_step, step_cfg, fitness, [MaxGenerations(cfg.max_generations)], rng
         )

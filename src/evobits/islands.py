@@ -50,6 +50,11 @@ class MigrationPolicy(Enum):
     BEST = "best"
     MOST_DIFFERENT = "mostdifferent"
 
+    @classmethod
+    def _missing_(cls, value: object) -> None:
+        names = ", ".join(policy.value for policy in cls)
+        raise ValueError(f"migration policy must be one of {names}, got {value!r}")
+
 
 @dataclass(frozen=True)
 class MigrantMessage:

@@ -200,6 +200,8 @@ class TestRunCommand:
             (["run", "--problem", "nope"], "problem"),
             (["islands", "--policy", "nope"], "migration_policy"),
             (["run", "--seed", "-1"], "seed"),
+            # accepted as a size, but its default target overflows a float
+            (["run", "--problem", "onemax", "--bits", "9" * 401, "--pop-size", "2"], "bits"),
         ],
         ids=[
             "selection_rate",
@@ -215,6 +217,7 @@ class TestRunCommand:
             "problem_nope",
             "policy_nope",
             "seed_negative",
+            "default_target_overflow",
         ],
     )
     def test_bad_flag_value_is_config_error(self, argv, key, capsys):

@@ -109,6 +109,10 @@ class TestSelectMigrant:
         with pytest.raises(ValueError):
             select_migrant(MigrationPolicy.BEST, [])
 
+    def test_unknown_policy_name_lists_the_valid_ones(self):
+        with pytest.raises(ValueError, match="best, mostdifferent.*'nope'"):
+            MigrationPolicy("nope")
+
 
 class TestIntegrateMigrant:
     def test_worse_migrant_still_replaces_worst(self):

@@ -89,9 +89,13 @@ class TestRectangleArena:
     def test_indexed_matches_brute_force(self):
         arena = random_arena(500, seed=77)
         rng = RandomSource(78)
-        for _ in range(1000):
-            x = rng.uniform(-1, 21)
-            y = rng.uniform(-1, 21)
+        points = [(rng.uniform(-1, 21), rng.uniform(-1, 21)) for _ in range(1000)]
+        # exact corners sit on closed boundaries, where < and <= disagree
+        for r in arena.rectangles:
+            points += [(r.x0, r.y0), (r.x1, r.y0), (r.x0, r.y1), (r.x1, r.y1)]
+        side = arena.arena_side
+        points += [(0.0, 0.0), (side, 0.0), (0.0, side), (side, side)]
+        for x, y in points:
             assert arena.rectangles_containing_dot(x, y) == (
                 arena.rectangles_containing_dot_brute(x, y)
             )
