@@ -72,6 +72,9 @@ class ExperimentConfig:
 
 
 _PROBLEMS = ("dot", "onemax", "royalroad")
+# largest genome length and population size: beyond it a run would spend
+# minutes drawing its first population before printing anything
+_MAX_SIZE = 2**20
 
 
 def _rule(accept: Callable[[Any], bool], requirement: str) -> Callable[[Any], None]:
@@ -86,9 +89,9 @@ _KEYS: dict[str, tuple[Callable[[str], Any], Callable[[Any], object] | None]] = 
     "problem": (str, _rule(_PROBLEMS.__contains__, f"must be one of {', '.join(_PROBLEMS)}")),
     "num_rects": (int, lambda v: DotProblemConfig(num_rects=v)),
     "arena_side": (float, lambda v: DotProblemConfig(arena_side=v)),
-    "bits": (int, _rule(lambda v: v >= 1, "must be at least 1")),
+    "bits": (int, _rule(lambda v: 1 <= v <= _MAX_SIZE, f"must be in [1, {_MAX_SIZE}]")),
     "block_size": (int, _rule(lambda v: v >= 1, "must be at least 1")),
-    "pop_size": (int, _rule(lambda v: v >= 2, "must be at least 2")),
+    "pop_size": (int, _rule(lambda v: 2 <= v <= _MAX_SIZE, f"must be in [2, {_MAX_SIZE}]")),
     "max_generations": (int, MaxGenerations),
     "selection_rate": (float, lambda v: EasyStepConfig(v, [BitFlip()])),
     "mutation_rate": (float, lambda v: BitFlip(rate=v)),
@@ -152,10 +155,9 @@ def _check_cross_field(cfg: ExperimentConfig) -> None:
         )
     _owned("mutation_rate, crossover_rate", _step_config, cfg)
     _owned("selection_rate, pop_size", turnover_count, cfg.selection_rate, cfg.pop_size)
-    if cfg.target_fitness is None:
-        # no owner bounds a size, but the default target converts one to a float
-        size_key = "num_rects" if cfg.problem == "dot" else "bits"
-        _owned(size_key, lambda: TargetFitness(_default_target(cfg)))
+    if cfg.target_fitness is None and cfg.problem == "dot":
+        # num_rects has no upper bound, but the default target converts it to a float
+        _owned("num_rects", lambda: TargetFitness(_default_target(cfg)))
 
 
 def parse_config(

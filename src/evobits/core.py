@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import ClassVar, Sequence, Union
+from typing import Sequence, Union
 
 __all__ = [
     "BitFlip",
@@ -67,37 +67,57 @@ def derived_seed(seed: int, offset: int) -> int:
     return (seed + offset) % _SEED_LIMIT
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BitGenome:
-    """Fixed-length vector of 0/1 genes."""
+    """Fixed-length vector of 0/1 genes, held as one int.
 
-    bits: tuple[int, ...]
+    Gene 0 is the most significant of ``length`` bits, so
+    ``str(genome) == format(value, f"0{length}b")``.
+    """
+
+    value: int
+    length: int
 
     def __post_init__(self) -> None:
-        if len(self.bits) == 0:
-            raise ValueError("genome must hold at least one bit")
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("genome bits must all be 0 or 1")
+        if not (self.length >= 1 and 0 <= self.value < 1 << self.length):
+            raise ValueError(
+                f"genome needs length >= 1 and value in [0, 2**length), "
+                f"got value {self.value}, length {self.length}"
+            )
+
+    @classmethod
+    def from_bits(cls, bits: Sequence[int]) -> "BitGenome":
+        """Build a genome from its genes, gene 0 first."""
+        value = 0
+        for bit in bits:
+            if bit not in (0, 1):
+                raise ValueError("genome bits must all be 0 or 1")
+            value = value << 1 | bit
+        return cls(value, len(bits))
 
     @classmethod
     def from_string(cls, text: str) -> "BitGenome":
         """Build a genome from a string like ``\"1010\"``."""
-        return cls(tuple(int(ch) for ch in text))
+        return cls.from_bits([int(ch) for ch in text])
 
     @property
-    def length(self) -> int:
-        return len(self.bits)
+    def bits(self) -> tuple[int, ...]:
+        """The genes as a tuple of 0/1 ints, gene 0 first."""
+        return tuple(map(int, str(self)))
 
     def __len__(self) -> int:
-        return len(self.bits)
+        return self.length
 
     def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
+        return format(self.value, f"0{self.length}b")
 
 
 def random_genome(length: int, rng: RandomSource) -> BitGenome:
-    """Genome of ``length`` bits, each independently 0 or 1 with p = 0.5."""
-    return BitGenome(tuple(rng.randrange(2) for _ in range(length)))
+    """Genome of ``length`` bits, each independently 0 or 1 with p = 0.5, gene 0 first."""
+    value = 0
+    for _ in range(length):
+        value = value << 1 | rng.randrange(2)
+    return BitGenome(value, length)
 
 
 def decode(genome: BitGenome, gene_bits: int, low: float, high: float) -> list[float]:
@@ -117,10 +137,8 @@ def decode(genome: BitGenome, gene_bits: int, low: float, high: float) -> list[f
         raise ValueError(f"need low < high, got [{low}, {high}]")
     denom = (1 << gene_bits) - 1
     values = []
-    for start in range(0, genome.length, gene_bits):
-        u = 0
-        for bit in genome.bits[start : start + gene_bits]:
-            u = (u << 1) | bit
+    for shift in range(genome.length - gene_bits, -1, -gene_bits):
+        u = genome.value >> shift & denom
         if u == 0:
             values.append(low)
         elif u == denom:
@@ -133,14 +151,13 @@ def decode(genome: BitGenome, gene_bits: int, low: float, high: float) -> list[f
 
 def bitflip(genome: BitGenome, flip_count: int, rng: RandomSource) -> BitGenome:
     """New genome with exactly ``flip_count`` distinct, uniformly chosen bits inverted."""
-    if not 1 <= flip_count <= genome.length:
-        raise ValueError(
-            f"flip_count must be in [1, {genome.length}], got {flip_count}"
-        )
-    positions = set(rng.sample(range(genome.length), flip_count))
-    return BitGenome(
-        tuple(bit ^ 1 if i in positions else bit for i, bit in enumerate(genome.bits))
-    )
+    length = genome.length
+    if not 1 <= flip_count <= length:
+        raise ValueError(f"flip_count must be in [1, {length}], got {flip_count}")
+    mask = 0
+    for i in rng.sample(range(length), flip_count):
+        mask |= 1 << (length - 1 - i)
+    return BitGenome(genome.value ^ mask, length)
 
 
 def n_point_crossover(
@@ -151,64 +168,57 @@ def n_point_crossover(
     ``points`` distinct cut positions are drawn uniformly from {1..length-1};
     segments between cuts alternate parents, starting with ``a``.
     """
-    if a.length != b.length:
-        raise ValueError(f"parent lengths differ: {a.length} vs {b.length}")
-    if not 1 <= points < a.length:
+    length = a.length
+    if length != b.length:
+        raise ValueError(f"parent lengths differ: {length} vs {b.length}")
+    if not 1 <= points < length:
         raise ValueError(
-            f"points must be in [1, {a.length - 1}] for {a.length}-bit parents, got {points}"
+            f"points must be in [1, {length - 1}] for {length}-bit parents, got {points}"
         )
-    cuts = sorted(rng.sample(range(1, a.length), points))
-    bits: list[int] = []
-    take_a = True
-    prev = 0
-    for cut in cuts + [a.length]:
-        source = a if take_a else b
-        bits.extend(source.bits[prev:cut])
-        take_a = not take_a
-        prev = cut
-    return BitGenome(tuple(bits))
+    # each cut switches parents for every gene from it to the end, so the
+    # genes taken from b are the XOR of one suffix mask per cut
+    from_b = 0
+    for cut in rng.sample(range(1, length), points):
+        from_b ^= (1 << (length - cut)) - 1
+    return BitGenome(a.value ^ (a.value ^ b.value) & from_b, length)
 
 
 def hamming(a: BitGenome, b: BitGenome) -> int:
     """Number of positions where the two genomes differ."""
     if a.length != b.length:
         raise ValueError(f"genome lengths differ: {a.length} vs {b.length}")
-    return sum(x != y for x, y in zip(a.bits, b.bits))
+    return (a.value ^ b.value).bit_count()
 
 
-@dataclass
 class BitFlip:
     """Mutation operator: invert ``flip_count`` distinct bits of one parent."""
 
-    flip_count: int = 1
-    rate: float = 1.0
+    arity = 1
 
-    arity: ClassVar[int] = 1
-
-    def __post_init__(self) -> None:
-        if self.flip_count < 1:
-            raise ValueError(f"flip_count must be positive, got {self.flip_count}")
-        if not 0 < self.rate < math.inf:
-            raise ValueError(f"operator rate must be positive and finite, got {self.rate}")
+    def __init__(self, flip_count: int = 1, rate: float = 1.0) -> None:
+        if flip_count < 1:
+            raise ValueError(f"flip_count must be positive, got {flip_count}")
+        if not 0 < rate < math.inf:
+            raise ValueError(f"operator rate must be positive and finite, got {rate}")
+        self.flip_count = flip_count
+        self.rate = rate
 
     def apply(self, parents: Sequence[BitGenome], rng: RandomSource) -> BitGenome:
         return bitflip(parents[0], self.flip_count, rng)
 
 
-@dataclass
 class NPointCrossover:
     """Recombination operator: n-point crossover of two parents."""
 
-    points: int = 2
-    rate: float = 1.0
+    arity = 2
 
-    arity: ClassVar[int] = 2
-
-    def __post_init__(self) -> None:
-        if self.points < 1:
-            raise ValueError(f"points must be positive, got {self.points}")
-        if not 0 < self.rate < math.inf:
-            raise ValueError(f"operator rate must be positive and finite, got {self.rate}")
+    def __init__(self, points: int = 2, rate: float = 1.0) -> None:
+        if points < 1:
+            raise ValueError(f"points must be positive, got {points}")
+        if not 0 < rate < math.inf:
+            raise ValueError(f"operator rate must be positive and finite, got {rate}")
+        self.points = points
+        self.rate = rate
 
     def apply(self, parents: Sequence[BitGenome], rng: RandomSource) -> BitGenome:
         return n_point_crossover(parents[0], parents[1], self.points, rng)

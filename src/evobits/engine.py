@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import time
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from numbers import Real
 from typing import Callable, Sequence, Union
@@ -29,6 +29,7 @@ __all__ = [
     "TargetFitness",
     "Terminator",
     "canonical_step",
+    "checked_fitness",
     "easy_step",
     "evaluate_population",
     "run",
@@ -58,7 +59,6 @@ class Individual:
         return Individual(self.genome, self.fitness)
 
 
-@dataclass
 class EasyStepConfig:
     """Shared settings of the generation-step strategies.
 
@@ -67,41 +67,34 @@ class EasyStepConfig:
     the strategy); ``operators`` are drawn by rate for each offspring.
     """
 
-    selection_rate: float
-    operators: Sequence[OperatorSpec]
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.selection_rate < 1.0:
-            raise ValueError(
-                f"selection_rate must be in (0, 1), got {self.selection_rate}"
-            )
-        _rate_total(self.operators)
+    def __init__(self, selection_rate: float, operators: Sequence[OperatorSpec]) -> None:
+        if not 0.0 < selection_rate < 1.0:
+            raise ValueError(f"selection_rate must be in (0, 1), got {selection_rate}")
+        _rate_total(operators)
+        self.selection_rate = selection_rate
+        self.operators = operators
 
 
-@dataclass(frozen=True)
 class MaxGenerations:
     """Stop once the given number of generation steps has been executed."""
 
-    limit: int
-
-    def __post_init__(self) -> None:
-        if self.limit < 1:
-            raise ValueError(f"generation limit must be positive, got {self.limit}")
+    def __init__(self, limit: int) -> None:
+        if limit < 1:
+            raise ValueError(f"generation limit must be positive, got {limit}")
+        self.limit = limit
 
     def should_stop(self, generations_executed: int, best_fitness: float) -> bool:
         return generations_executed >= self.limit
 
 
-@dataclass(frozen=True)
 class TargetFitness:
     """Stop once the best fitness reaches the target."""
 
-    target: float
-
-    def __post_init__(self) -> None:
+    def __init__(self, target: float) -> None:
         # NaN or +inf can never be reached, and -inf is met by any population
-        if not math.isfinite(self.target):
-            raise ValueError(f"target fitness must be finite, got {self.target}")
+        if not math.isfinite(target):
+            raise ValueError(f"target fitness must be finite, got {target}")
+        self.target = target
 
     def should_stop(self, generations_executed: int, best_fitness: float) -> bool:
         return best_fitness >= self.target
@@ -110,7 +103,6 @@ class TargetFitness:
 Terminator = Union[MaxGenerations, TargetFitness]
 
 
-@dataclass
 class RunStats:
     """Bookkeeping for one run.
 
@@ -120,31 +112,44 @@ class RunStats:
     excluded from determinism guarantees.
     """
 
-    generations_executed: int = 0
-    evaluations: int = 0
-    best_per_generation: list[tuple[int, float]] = field(default_factory=list)
-    cumulative_evaluations: list[int] = field(default_factory=list)
-    elapsed_seconds: list[float] = field(default_factory=list)
-    wall_time: float = 0.0
+    def __init__(self) -> None:
+        self.generations_executed = 0
+        self.evaluations = 0
+        self.best_per_generation: list[tuple[int, float]] = []
+        self.cumulative_evaluations: list[int] = []
+        self.elapsed_seconds: list[float] = []
+        self.wall_time = 0.0
+
+
+def checked_fitness(value: object) -> float:
+    """``value`` as a float if it is a usable fitness, a finite non-negative
+    real number; ValueError for anything else, NaN and infinities included."""
+    # plain int/float first: an isinstance check against the ABC is far slower
+    if isinstance(value, (int, float)) or isinstance(value, Real):
+        try:
+            fitness = float(value)
+        except OverflowError:  # an int past the float range
+            fitness = math.inf
+        # also false for NaN, which would poison the roulette wheel's prefix sums
+        if 0.0 <= fitness < math.inf:
+            return fitness
+    raise ValueError(f"fitness must be a finite non-negative real number, got {value!r}")
 
 
 def _evaluate(ind: Individual, f: FitnessFunction, stats: RunStats, label: object) -> None:
     try:
         value = f(ind.genome)
-        # plain int/float first: an isinstance check against the ABC is far slower
-        real = isinstance(value, (int, float)) or isinstance(value, Real)
-        fitness = float(value) if real else math.nan
     except Exception as exc:
         raise EvaluationError(
             f"fitness evaluation failed for individual {label}: {exc}"
         ) from exc
-    # also false for NaN, which would poison the roulette wheel's prefix sums
-    if not 0.0 <= fitness < math.inf:
+    try:
+        ind.fitness = checked_fitness(value)
+    except ValueError:
         raise EvaluationError(
             "fitness must be a finite non-negative real number, "
             f"individual {label} scored {value!r}"
-        )
-    ind.fitness = fitness
+        ) from None
     stats.evaluations += 1
 
 
@@ -281,7 +286,6 @@ StepFunction = Callable[
 ]
 
 
-@dataclass
 class Evolution:
     """One run in progress, advanced one generation step at a time.
 
@@ -291,20 +295,21 @@ class Evolution:
     (islands integrate migrants); the terminators see it after the next step.
     """
 
-    pop: list[Individual]
-    step: StepFunction
-    cfg: EasyStepConfig
-    f: FitnessFunction
-    terminators: Sequence[Terminator]
-    rng: RandomSource
-    stats: RunStats = field(default_factory=RunStats, init=False)
-    start: float = field(default_factory=time.perf_counter, init=False)
-    finished: bool = field(init=False)
-
-    def __post_init__(self) -> None:
-        if not self.terminators:
+    def __init__(
+        self,
+        pop: Sequence[Individual],
+        step: StepFunction,
+        cfg: EasyStepConfig,
+        f: FitnessFunction,
+        terminators: Sequence[Terminator],
+        rng: RandomSource,
+    ) -> None:
+        if not terminators:
             raise ValueError("at least one terminator is required")
-        self.pop = sort_by_fitness(evaluate_population(list(self.pop), self.f, self.stats))
+        self.step, self.cfg, self.f, self.terminators, self.rng = step, cfg, f, terminators, rng
+        self.stats = RunStats()
+        self.start = time.perf_counter()
+        self.pop: list[Individual] = sort_by_fitness(evaluate_population(list(pop), f, self.stats))
         self.finished = self._should_stop()
 
     def _should_stop(self) -> bool:

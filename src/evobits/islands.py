@@ -12,7 +12,6 @@ from __future__ import annotations
 import logging
 import time
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -25,6 +24,7 @@ from .engine import (
     RunStats,
     StepFunction,
     Terminator,
+    checked_fitness,
     easy_step,
     evaluate_population,
     sort_by_fitness,
@@ -56,60 +56,80 @@ class MigrationPolicy(Enum):
         raise ValueError(f"migration policy must be one of {names}, got {value!r}")
 
 
-@dataclass(frozen=True)
 class MigrantMessage:
     """Envelope carrying one individual between island sessions."""
 
-    source: str
-    generation: int
-    individual: Individual
+    def __init__(self, source: str, generation: int, individual: Individual) -> None:
+        if generation < 1:
+            raise ValueError(f"generation must be at least 1, got {generation}")
+        self.source = source
+        self.generation = generation
+        self.individual = individual
 
-    def __post_init__(self) -> None:
-        if self.generation < 1:
-            raise ValueError(f"generation must be at least 1, got {self.generation}")
 
-
-@dataclass
 class IslandConfig:
     """One island: its own population, random stream, step strategy, and peers."""
 
-    alias: str
-    peers: Sequence[str]
-    fitness: FitnessFunction
-    pop_size: int
-    genome_length: int
-    step_config: EasyStepConfig
-    terminator: Terminator
-    step: StepFunction = easy_step
-    migration_policy: MigrationPolicy = MigrationPolicy.BEST
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not self.alias:
+    def __init__(
+        self,
+        alias: str,
+        peers: Sequence[str],
+        fitness: FitnessFunction,
+        pop_size: int,
+        genome_length: int,
+        step_config: EasyStepConfig,
+        terminator: Terminator,
+        step: StepFunction = easy_step,
+        migration_policy: MigrationPolicy = MigrationPolicy.BEST,
+        seed: int = 0,
+    ) -> None:
+        if not alias:
             raise ValueError("island alias must not be empty")
-        if self.alias in self.peers:
-            raise ValueError(f"island {self.alias!r} lists itself as a peer")
-        if len(set(self.peers)) != len(self.peers):
-            raise ValueError(f"island {self.alias!r} has duplicate peers")
-        if self.pop_size < 2:
-            raise ValueError(f"pop_size must be at least 2, got {self.pop_size}")
-        if self.genome_length < 1:
-            raise ValueError(
-                f"genome_length must be positive, got {self.genome_length}"
-            )
+        if alias in peers:
+            raise ValueError(f"island {alias!r} lists itself as a peer")
+        if len(set(peers)) != len(peers):
+            raise ValueError(f"island {alias!r} has duplicate peers")
+        if pop_size < 2:
+            raise ValueError(f"pop_size must be at least 2, got {pop_size}")
+        if genome_length < 1:
+            raise ValueError(f"genome_length must be positive, got {genome_length}")
+        self.alias, self.peers, self.fitness = alias, peers, fitness
+        self.pop_size, self.genome_length = pop_size, genome_length
+        self.step_config, self.terminator, self.step = step_config, terminator, step
+        self.migration_policy, self.seed = migration_policy, seed
 
 
 def consensus_genome(pop: Sequence[Individual]) -> BitGenome:
-    """Per-locus majority-vote genome of the population; ties become 1."""
+    """Per-locus majority-vote genome of the population; ties become 1.
+
+    The genomes are summed into bit-sliced counters, ``counts[j]`` holding
+    bit j of every locus's count of ones, with a ripple carry per genome.
+    The loci whose count reaches ``ceil(N / 2)`` are then found by comparing
+    those counters with that threshold, most significant bit first.
+    """
     if not pop:
         raise ValueError("population must not be empty")
     length = pop[0].genome.length
-    half = len(pop)
-    bits = []
-    for locus in range(length):
-        ones = sum(ind.genome.bits[locus] for ind in pop)
-        bits.append(1 if 2 * ones >= half else 0)
-    return BitGenome(tuple(bits))
+    counts: list[int] = []
+    for ind in pop:
+        carry = ind.genome.value
+        for j, count in enumerate(counts):
+            counts[j], carry = count ^ carry, count & carry
+            if not carry:
+                break
+        else:
+            counts.append(carry)
+    threshold = (len(pop) + 1) // 2
+    # loci whose count's high bits match the threshold's so far (loci already
+    # above may stay in it: the result is the union)
+    above, equal = 0, (1 << length) - 1
+    for j in range(max(len(counts), threshold.bit_length()) - 1, -1, -1):
+        count = counts[j] if j < len(counts) else 0
+        if threshold >> j & 1:
+            equal &= count
+        else:
+            above |= equal & count
+    return BitGenome(above | equal, length)
 
 
 def select_migrant(policy: MigrationPolicy, pop: Sequence[Individual]) -> Individual:
@@ -132,20 +152,21 @@ def select_migrant(policy: MigrationPolicy, pop: Sequence[Individual]) -> Indivi
 
 
 def integrate_migrant(
-    pop: Sequence[Individual],
+    pop: list[Individual],
     migrant: Individual,
     f: FitnessFunction,
     stats: RunStats,
 ) -> list[Individual]:
     """Replace the current worst individual with the migrant, unconditionally.
 
-    The migrant is evaluated first if its fitness is unset. A genome-length
-    mismatch rejects the migrant with a logged error and leaves the
-    population unchanged; the island keeps running either way.
+    The migrant is evaluated first if its fitness is unset; a fitness it
+    carries is kept, not recomputed. A genome-length mismatch, or a carried
+    fitness that is not a finite non-negative real number, rejects the migrant
+    with a logged error and returns ``pop`` itself, unchanged; the island
+    keeps running either way.
     """
     if not pop:
         raise ValueError("population must not be empty")
-    pop = list(pop)
     if migrant.genome.length != pop[0].genome.length:
         logger.error(
             "rejected migrant: genome length %d does not match local length %d",
@@ -153,7 +174,14 @@ def integrate_migrant(
             pop[0].genome.length,
         )
         return pop
+    if migrant.fitness is not None:
+        try:
+            checked_fitness(migrant.fitness)
+        except ValueError as exc:
+            logger.error("rejected migrant: %s", exc)
+            return pop
     evaluate_population([migrant], f, stats)
+    pop = list(pop)
     # worst = lowest fitness, latest among ties (the slot a best-first sort
     # would place last)
     worst = min(range(len(pop)), key=lambda i: (pop[i].fitness, -i))
@@ -166,8 +194,10 @@ class Archipelago:
 
     Pending messages are always delivered before an island's step. Islands
     whose terminator has fired stop stepping and sending but keep draining
-    (and discarding) their mailbox, so no message is ever lost. The ``log``
-    holds one ``<round> <alias> <event> <detail>`` line per event.
+    (and discarding) their mailbox, so no message is ever lost; a migrant
+    :func:`integrate_migrant` rejects is counted in ``messages_rejected``.
+    The ``log`` holds one ``<round> <alias> <event> <detail>`` line per event;
+    events are kept raw and formatted into lines only when ``log`` is read.
     """
 
     def __init__(self, configs: Sequence[IslandConfig]) -> None:
@@ -196,13 +226,23 @@ class Archipelago:
         self.mailboxes: dict[str, deque[MigrantMessage]] = {
             alias: deque() for alias in aliases
         }
-        self.log: list[str] = []
+        # (round, alias, event, detail template, values): formatted only when read
+        self._events: list[tuple[int, str, str, str, tuple]] = []
         self.messages_sent = 0
         self.messages_delivered = 0
+        self.messages_rejected = 0
         self.round = 0
 
-    def _record(self, alias: str, event: str, detail: str) -> None:
-        self.log.append(f"{self.round} {alias} {event} {detail}")
+    @property
+    def log(self) -> list[str]:
+        """One ``<round> <alias> <event> <detail>`` line per event so far."""
+        return [
+            f"{round_no} {alias} {event} {detail.format(*values)}"
+            for round_no, alias, event, detail, values in self._events
+        ]
+
+    def _record(self, alias: str, event: str, detail: str, *values: object) -> None:
+        self._events.append((self.round, alias, event, detail, values))
 
     def _drain_mailbox(self, alias: str) -> None:
         evolution = self.sessions[alias]
@@ -212,13 +252,14 @@ class Archipelago:
             self.messages_delivered += 1
             if evolution.finished:
                 self._record(
-                    alias, "recv", f"from={msg.source} gen={msg.generation} discarded"
+                    alias, "recv", "from={} gen={} discarded", msg.source, msg.generation
                 )
                 continue
-            self._record(alias, "recv", f"from={msg.source} gen={msg.generation}")
-            evolution.pop = integrate_migrant(
-                evolution.pop, msg.individual, evolution.f, evolution.stats
-            )
+            self._record(alias, "recv", "from={} gen={}", msg.source, msg.generation)
+            pop = evolution.pop
+            evolution.pop = integrate_migrant(pop, msg.individual, evolution.f, evolution.stats)
+            if evolution.pop is pop:
+                self.messages_rejected += 1
 
     def step_island(self, alias: str) -> None:
         """One turn for one island: drain mailbox, step, send to peers."""
@@ -229,7 +270,7 @@ class Archipelago:
         evolution.advance()
         generation = evolution.stats.generations_executed
         best, size = evolution.pop[0].fitness, len(evolution.pop)
-        self._record(alias, "step", f"gen={generation} size={size} best={best:g}")
+        self._record(alias, "step", "gen={} size={} best={:g}", generation, size, best)
         cfg = self._configs[alias]
         if cfg.peers:
             migrant = select_migrant(cfg.migration_policy, evolution.pop)
@@ -239,7 +280,7 @@ class Archipelago:
                 MigrantMessage(alias, generation, migrant.copy())
             )
             self.messages_sent += 1
-            self._record(alias, "send", f"to={peer} gen={generation}")
+            self._record(alias, "send", "to={} gen={}", peer, generation)
 
     def run(self) -> dict[str, tuple[list[Individual], RunStats]]:
         """Step all islands until every terminator has fired."""

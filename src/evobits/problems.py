@@ -113,7 +113,6 @@ def load_arena(path: str | Path, arena_side: float) -> RectangleArena:
         raise ValueError(f"{path}: {exc}") from None
 
 
-@dataclass(frozen=True)
 class DotProblemConfig:
     """Parameters of the dot-in-rectangles problem.
 
@@ -121,20 +120,19 @@ class DotProblemConfig:
     spanning ``bits / 2`` bits over [0, arena_side].
     """
 
-    num_rects: int = 25
-    arena_side: float = 10.0
-    bits: int = 32
-
-    def __post_init__(self) -> None:
-        if self.num_rects < 1:
-            raise ValueError(f"num_rects must be positive, got {self.num_rects}")
+    def __init__(self, num_rects: int = 25, arena_side: float = 10.0, bits: int = 32) -> None:
+        if num_rects < 1:
+            raise ValueError(f"num_rects must be positive, got {num_rects}")
         # generated rectangles reach up to twice the side, which must stay finite
-        if not 0 < 2 * self.arena_side < math.inf:
+        if not 0 < 2 * arena_side < math.inf:
             raise ValueError(
-                f"arena_side must be positive and finite when doubled, got {self.arena_side}"
+                f"arena_side must be positive and finite when doubled, got {arena_side}"
             )
-        if self.bits < 2 or self.bits % 2 != 0:
-            raise ValueError(f"bits must be even and at least 2, got {self.bits}")
+        if bits < 2 or bits % 2 != 0:
+            raise ValueError(f"bits must be even and at least 2, got {bits}")
+        self.num_rects = num_rects
+        self.arena_side = arena_side
+        self.bits = bits
 
 
 def _positive_side(rng: RandomSource, limit: float) -> float:
@@ -177,7 +175,7 @@ def dot_fitness(cfg: DotProblemConfig, arena: RectangleArena) -> FitnessFunction
 
 def onemax(genome: BitGenome) -> int:
     """Number of 1-bits."""
-    return sum(genome.bits)
+    return genome.value.bit_count()
 
 
 def royal_road(genome: BitGenome, block_size: int = 4) -> int:
@@ -188,9 +186,9 @@ def royal_road(genome: BitGenome, block_size: int = 4) -> int:
         raise ValueError(
             f"block_size {block_size} does not divide genome length {genome.length}"
         )
+    value, block = genome.value, (1 << block_size) - 1
     return sum(
-        all(genome.bits[start : start + block_size])
-        for start in range(0, genome.length, block_size)
+        value >> shift & block == block for shift in range(0, genome.length, block_size)
     )
 
 

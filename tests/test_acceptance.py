@@ -296,8 +296,8 @@ def test_criterion_9_decode_endpoint_exactness():
     exact = True
     for gene_bits in (1, 4, 8, 16):
         for low, high in ((0.0, 10.0), (0.1, 0.3), (-5.0, 5.0)):
-            zeros = BitGenome((0,) * gene_bits)
-            ones = BitGenome((1,) * gene_bits)
+            zeros = BitGenome.from_bits((0,) * gene_bits)
+            ones = BitGenome.from_bits((1,) * gene_bits)
             exact &= decode(zeros, gene_bits, low, high) == [low]
             exact &= decode(ones, gene_bits, low, high) == [high]
     monotone = True
@@ -305,7 +305,7 @@ def test_criterion_9_decode_endpoint_exactness():
         previous = None
         for u in range(2**gene_bits):
             bits = tuple((u >> (gene_bits - 1 - i)) & 1 for i in range(gene_bits))
-            (value,) = decode(BitGenome(bits), gene_bits, 0.1, 0.3)
+            (value,) = decode(BitGenome.from_bits(bits), gene_bits, 0.1, 0.3)
             if previous is not None and value < previous:
                 monotone = False
             previous = value

@@ -200,8 +200,14 @@ class TestRunCommand:
             (["run", "--problem", "nope"], "problem"),
             (["islands", "--policy", "nope"], "migration_policy"),
             (["run", "--seed", "-1"], "seed"),
-            # accepted as a size, but its default target overflows a float
+            # a 401-digit size, past the upper bound on bits
             (["run", "--problem", "onemax", "--bits", "9" * 401, "--pop-size", "2"], "bits"),
+            # with an explicit target this used to hang drawing the first genome
+            (["run", "--problem", "onemax", "--bits", "100000000000",
+              "--target-fitness", "1", "--pop-size", "2"], "bits"),
+            (["run", "--problem", "onemax", "--pop-size", str(2**20 + 1)], "pop_size"),
+            # accepted as a count, but its default target overflows a float
+            (["run", "--num-rects", "9" * 401], "num_rects"),
         ],
         ids=[
             "selection_rate",
@@ -218,6 +224,9 @@ class TestRunCommand:
             "policy_nope",
             "seed_negative",
             "default_target_overflow",
+            "bits_above_bound",
+            "pop_size_above_bound",
+            "num_rects_target_overflow",
         ],
     )
     def test_bad_flag_value_is_config_error(self, argv, key, capsys):

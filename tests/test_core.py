@@ -22,7 +22,7 @@ from evobits.core import (
 
 genomes = st.integers(min_value=1, max_value=64).flatmap(
     lambda n: st.lists(st.integers(0, 1), min_size=n, max_size=n)
-).map(lambda bits: BitGenome(tuple(bits)))
+).map(lambda bits: BitGenome.from_bits(tuple(bits)))
 
 
 class TestRandomSource:
@@ -49,11 +49,25 @@ class TestBitGenome:
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            BitGenome(())
+            BitGenome.from_bits(())
 
     def test_rejects_non_binary(self):
+        with pytest.raises(ValueError, match="bits must all be 0 or 1"):
+            BitGenome.from_bits((0, 2, 1))
+
+    @pytest.mark.parametrize(
+        "value, length",
+        [(0, 0), (0, -1), (-1, 4), (16, 4), (2, 1), (1 << 300, 300)],
+        ids=["length_0", "length_negative", "value_negative", "value_16_of_4_bits",
+             "value_2_of_1_bit", "value_2**300_of_300_bits"],
+    )
+    def test_rejects_value_outside_its_length(self, value, length):
         with pytest.raises(ValueError):
-            BitGenome((0, 2, 1))
+            BitGenome(value, length)
+
+    @pytest.mark.parametrize("value, length", [(0, 1), (1, 1), (15, 4), ((1 << 300) - 1, 300)])
+    def test_accepts_every_value_of_its_length(self, value, length):
+        assert BitGenome(value, length).value == value
 
 
 class TestRandomGenome:
@@ -95,7 +109,7 @@ class TestDecode:
         previous = None
         for u in range(2**gene_bits):
             bits = tuple((u >> (gene_bits - 1 - i)) & 1 for i in range(gene_bits))
-            (value,) = decode(BitGenome(bits), gene_bits, -5.0, 5.0)
+            (value,) = decode(BitGenome.from_bits(bits), gene_bits, -5.0, 5.0)
             if previous is not None:
                 assert value >= previous
             previous = value

@@ -1,0 +1,265 @@
+"""Int-genome operators against tuple-of-bits oracles.
+
+Each oracle below is the gene-by-gene tuple implementation that the mask
+arithmetic in ``evobits`` replaced, kept here only as a reference. Every
+equivalence test checks the same genome (or value) and, where a random stream
+is used, the same next draw afterwards, so both consumed the same draws.
+"""
+
+import functools
+import operator
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from evobits.core import (
+    BitGenome,
+    RandomSource,
+    bitflip,
+    decode,
+    hamming,
+    n_point_crossover,
+    random_genome,
+)
+from evobits.engine import Individual
+from evobits.islands import consensus_genome
+from evobits.problems import onemax, royal_road
+
+
+def random_genome_oracle(length, rng):
+    return tuple(rng.randrange(2) for _ in range(length))
+
+
+def bitflip_oracle(bits, flip_count, rng):
+    positions = set(rng.sample(range(len(bits)), flip_count))
+    return tuple(bit ^ 1 if i in positions else bit for i, bit in enumerate(bits))
+
+
+def n_point_crossover_oracle(a, b, points, rng):
+    cuts = sorted(rng.sample(range(1, len(a)), points))
+    bits = []
+    take_a = True
+    prev = 0
+    for cut in cuts + [len(a)]:
+        bits.extend((a if take_a else b)[prev:cut])
+        take_a = not take_a
+        prev = cut
+    return tuple(bits)
+
+
+def decode_oracle(bits, gene_bits, low, high):
+    denom = (1 << gene_bits) - 1
+    values = []
+    for start in range(0, len(bits), gene_bits):
+        u = 0
+        for bit in bits[start : start + gene_bits]:
+            u = (u << 1) | bit
+        if u == 0:
+            values.append(low)
+        elif u == denom:
+            values.append(high)
+        else:
+            values.append(min(high, low + (u / denom) * (high - low)))
+    return values
+
+
+def hamming_oracle(a, b):
+    return sum(x != y for x, y in zip(a, b))
+
+
+def consensus_oracle(genomes):
+    n = len(genomes)
+    return tuple(
+        1 if 2 * sum(bits[locus] for bits in genomes) >= n else 0
+        for locus in range(len(genomes[0]))
+    )
+
+
+def onemax_oracle(bits):
+    return sum(bits)
+
+
+def royal_road_oracle(bits, block_size):
+    return sum(all(bits[start : start + block_size]) for start in range(0, len(bits), block_size))
+
+
+seeds = st.integers(0, 2**64 - 1)
+
+
+def to_bits(value, length):
+    return tuple((value >> (length - 1 - i)) & 1 for i in range(length))
+
+
+def bit_tuples(length, ones_bias=0):
+    """Tuples of ``length`` genes; each bias step ORs in one more random word,
+    so a gene is 1 with probability 1 - 2**-(ones_bias + 1)."""
+    words = st.lists(st.integers(0, (1 << length) - 1), min_size=ones_bias + 1, max_size=ones_bias + 1)
+    return words.map(lambda ws: to_bits(functools.reduce(operator.or_, ws), length))
+
+
+genes = st.integers(1, 300).flatmap(bit_tuples)
+gene_pairs = st.integers(2, 300).flatmap(lambda n: st.tuples(bit_tuples(n), bit_tuples(n)))
+
+
+def same_next_draw(a, b):
+    return a.random() == b.random()
+
+
+class ScriptedCuts(RandomSource):
+    """Random source whose ``sample`` returns fixed cut positions."""
+
+    def __init__(self, cuts):
+        super().__init__(0)
+        self.cuts = cuts
+
+    def sample(self, population, k):
+        assert len(self.cuts) == k and all(cut in population for cut in self.cuts)
+        return list(self.cuts)
+
+
+class TestGenomeRepresentation:
+    @given(genes)
+    @example((0,))
+    @example((1,))
+    @settings(max_examples=200, deadline=None)
+    def test_from_bits_round_trips(self, bits):
+        genome = BitGenome.from_bits(bits)
+        assert str(genome) == "".join(map(str, bits))
+        assert genome.bits == bits
+        assert genome.length == len(genome) == len(bits)
+        assert BitGenome.from_string(str(genome)) == genome
+
+    def test_gene_zero_is_the_most_significant_bit(self):
+        assert BitGenome.from_bits((1, 0, 0)).value == 4
+        assert str(BitGenome(1, 3)) == "001"
+
+
+class TestCoreOperators:
+    @given(st.integers(1, 300), seeds)
+    @settings(max_examples=100, deadline=None)
+    def test_random_genome(self, length, seed):
+        ours, theirs = RandomSource(seed), RandomSource(seed)
+        assert random_genome(length, ours).bits == random_genome_oracle(length, theirs)
+        assert same_next_draw(ours, theirs)
+
+    @given(genes.flatmap(lambda bits: st.tuples(st.just(bits), st.integers(1, len(bits)))), seeds)
+    @example(((0,), 1), 0)
+    @example(((1,), 1), 0)
+    @settings(max_examples=200, deadline=None)
+    def test_bitflip(self, case, seed):
+        bits, flip_count = case
+        ours, theirs = RandomSource(seed), RandomSource(seed)
+        child = bitflip(BitGenome.from_bits(bits), flip_count, ours)
+        assert child.bits == bitflip_oracle(bits, flip_count, theirs)
+        assert same_next_draw(ours, theirs)
+
+    @given(
+        gene_pairs.flatmap(
+            lambda pair: st.tuples(st.just(pair), st.integers(1, len(pair[0]) - 1))
+        ),
+        seeds,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_n_point_crossover(self, case, seed):
+        (a, b), points = case
+        ours, theirs = RandomSource(seed), RandomSource(seed)
+        child = n_point_crossover(BitGenome.from_bits(a), BitGenome.from_bits(b), points, ours)
+        assert child.bits == n_point_crossover_oracle(a, b, points, theirs)
+        assert same_next_draw(ours, theirs)
+
+    @pytest.mark.parametrize("length", [2, 3, 9, 300])
+    @pytest.mark.parametrize("where", ["first", "last", "both", "all"])
+    def test_crossover_cuts_at_the_ends(self, length, where):
+        cuts = {
+            "first": [1],
+            "last": [length - 1],
+            "both": sorted({1, length - 1}),
+            "all": list(range(1, length)),
+        }[where]
+        a = tuple(1 for _ in range(length))
+        b = tuple(i % 2 for i in range(length))
+        child = n_point_crossover(
+            BitGenome.from_bits(a), BitGenome.from_bits(b), len(cuts), ScriptedCuts(cuts)
+        )
+        assert child.bits == n_point_crossover_oracle(a, b, len(cuts), ScriptedCuts(cuts))
+
+    @given(st.integers(1, 16).flatmap(
+        lambda w: st.tuples(st.just(w), st.integers(1, 300 // w).flatmap(lambda k: bit_tuples(w * k)))
+    ), st.floats(-1e6, 1e6), st.floats(1e-3, 1e6))
+    @example((1, (0,)), 0.0, 1.0)
+    @example((1, (1,)), -5.0, 10.0)
+    @settings(max_examples=200, deadline=None)
+    def test_decode(self, chunked, low, width):
+        gene_bits, bits = chunked
+        high = low + width
+        expected = decode_oracle(bits, gene_bits, low, high)
+        assert decode(BitGenome.from_bits(bits), gene_bits, low, high) == expected
+
+    @given(gene_pairs)
+    @example(((0,), (1,)))
+    @example(((1,), (1,)))
+    @settings(max_examples=200, deadline=None)
+    def test_hamming(self, pair):
+        a, b = pair
+        assert hamming(BitGenome.from_bits(a), BitGenome.from_bits(b)) == hamming_oracle(a, b)
+
+
+class TestProblems:
+    @given(genes)
+    @example((0,))
+    @example((1,))
+    @settings(max_examples=200, deadline=None)
+    def test_onemax(self, bits):
+        assert onemax(BitGenome.from_bits(bits)) == onemax_oracle(bits)
+
+    @given(st.integers(1, 16).flatmap(
+        lambda size: st.tuples(
+            st.just(size),
+            # mostly-ones genomes, so full blocks are common
+            st.integers(1, 300 // size).flatmap(lambda k: bit_tuples(size * k, ones_bias=2)),
+        )
+    ))
+    @example((1, (0,)))
+    @example((1, (1,)))
+    @settings(max_examples=200, deadline=None)
+    def test_royal_road(self, blocks):
+        block_size, bits = blocks
+        assert royal_road(BitGenome.from_bits(bits), block_size) == royal_road_oracle(bits, block_size)
+
+
+def population(genomes):
+    return [Individual(BitGenome.from_bits(bits)) for bits in genomes]
+
+
+class TestConsensus:
+    @given(st.integers(1, 300).flatmap(lambda n: st.lists(bit_tuples(n), min_size=1, max_size=70)))
+    @example([(0,)])
+    @example([(1,)])
+    @example([(1,), (0,)])
+    @settings(max_examples=200, deadline=None)
+    def test_matches_oracle(self, genomes):
+        assert consensus_genome(population(genomes)).bits == consensus_oracle(genomes)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 63, 64, 65, 128])
+    def test_sizes_around_powers_of_two(self, n):
+        rng = RandomSource(n)
+        genomes = [random_genome_oracle(37, rng) for _ in range(n)]
+        assert consensus_genome(population(genomes)).bits == consensus_oracle(genomes)
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 64])
+    def test_exact_ties_become_one(self, n):
+        rng = RandomSource(n)
+        half = [random_genome_oracle(53, rng) for _ in range(n // 2)]
+        complements = [tuple(1 - bit for bit in bits) for bits in half]
+        consensus = consensus_genome(population(half + complements))
+        assert consensus.bits == consensus_oracle(half + complements) == (1,) * 53
+
+    @pytest.mark.parametrize("n", [1, 3, 5, 65])
+    def test_odd_sizes_have_no_ties(self, n):
+        # (n + 1) // 2 copies of one genome against the rest as its complement
+        rng = RandomSource(n)
+        majority = random_genome_oracle(41, rng)
+        minority = tuple(1 - bit for bit in majority)
+        genomes = [majority] * ((n + 1) // 2) + [minority] * (n // 2)
+        assert consensus_genome(population(genomes)).bits == majority

@@ -1,6 +1,7 @@
 """Tests for migration policies, migrant integration, and the archipelago scheduler."""
 
 import logging
+import math
 import re
 
 import pytest
@@ -140,6 +141,18 @@ class TestIntegrateMigrant:
             new_pop = integrate_migrant(pop, migrant, onemax, RunStats())
         assert "rejected migrant" in caplog.text
         assert [str(i.genome) for i in new_pop] == ["1111", "0000"]
+
+    @pytest.mark.parametrize("fitness", [math.nan, math.inf, -1.0, 10**400, "4"])
+    def test_unusable_carried_fitness_rejected_and_logged(self, fitness, caplog):
+        pop = evaluated(["1111", "0000"])
+        migrant = Individual(BitGenome.from_string("1010"), fitness=fitness)
+        stats = RunStats()
+        with caplog.at_level(logging.ERROR, logger="evobits.islands"):
+            new_pop = integrate_migrant(pop, migrant, onemax, stats)
+        assert "rejected migrant" in caplog.text
+        assert new_pop is pop
+        assert [str(i.genome) for i in new_pop] == ["1111", "0000"]
+        assert stats.evaluations == 0
 
 
 class TestMigrantMessage:
@@ -339,6 +352,34 @@ class TestArchipelago:
         assert "rejected migrant" in caplog.text
         assert all(stats.generations_executed == 4 for _, stats in results.values())
         assert all(len(pop) == 16 for pop, _ in results.values())
+
+    @pytest.mark.parametrize(
+        "genome, fitness, rejected",
+        [
+            ("1" * 24, math.nan, True),
+            ("1" * 24, math.inf, True),
+            ("1" * 24, -1.0, True),
+            ("1" * 6, 6.0, True),
+            # unset: evaluated on arrival with the island's own fitness function
+            ("1" * 24, None, False),
+        ],
+        ids=["nan", "inf", "negative", "length_6", "none"],
+    )
+    def test_migrant_checked_on_delivery(self, genome, fitness, rejected, caplog):
+        arch = Archipelago([island("solo", [], seed=81, generations=3)])
+        migrant = Individual(BitGenome.from_string(genome), fitness=fitness)
+        arch.mailboxes["solo"].append(MigrantMessage("elsewhere", 1, migrant))
+        with caplog.at_level(logging.ERROR, logger="evobits.islands"):
+            pop, stats = arch.run()["solo"]
+        assert arch.messages_delivered == 1
+        assert arch.messages_rejected == int(rejected)
+        assert ("rejected migrant" in caplog.text) == rejected
+        # the island kept running, and no unusable fitness reached its population
+        assert stats.generations_executed == 3
+        assert all(0.0 <= ind.fitness < math.inf for ind in pop)
+        # pop 16 plus 3 offspring per step, plus the unset migrant's evaluation
+        assert stats.evaluations == 16 + 3 * 3 + (not rejected)
+        assert (stats.best_per_generation[0][1] == 24.0) == (not rejected)
 
     def test_dangling_peer_rejected_before_stepping(self):
         with pytest.raises(ValueError, match="unknown peer"):

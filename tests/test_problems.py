@@ -22,7 +22,7 @@ from evobits.problems import (
 
 genomes = st.integers(min_value=1, max_value=64).flatmap(
     lambda n: st.lists(st.integers(0, 1), min_size=n, max_size=n)
-).map(lambda bits: BitGenome(tuple(bits)))
+).map(lambda bits: BitGenome.from_bits(tuple(bits)))
 
 
 def random_arena(num_rects, seed, side=10.0):
@@ -147,7 +147,7 @@ class TestDotFitness:
         cfg = DotProblemConfig()
         arena = generate_random_arena(cfg, RandomSource(8))
         f = dot_fitness(cfg, arena)
-        genome = BitGenome((1,) * 32)
+        genome = BitGenome.from_bits((1,) * 32)
         side = arena.arena_side
         assert f(genome) == len(arena.rectangles_containing_dot_brute(side, side))
 
@@ -180,7 +180,7 @@ class TestOnemax:
     @given(genomes)
     @settings(max_examples=100, deadline=None)
     def test_complement_sums_to_length(self, genome):
-        complement = BitGenome(tuple(1 - b for b in genome.bits))
+        complement = BitGenome.from_bits(tuple(1 - b for b in genome.bits))
         assert onemax(genome) + onemax(complement) == genome.length
 
 
