@@ -23,6 +23,7 @@ from .engine import (
     MaxGenerations,
     RunStats,
     TargetFitness,
+    Terminator,
     canonical_step,
     easy_step,
     run,
@@ -63,7 +64,7 @@ class ExperimentConfig:
     crossover_points: int = 2
     seed: int = 42
     target_fitness: float | None = None
-    islands: int | None = None
+    islands: int = 2
     migration_policy: str = "best"
     repetitions: int = 5
     arena_file: str | None = None
@@ -157,7 +158,7 @@ def _check_cross_field(cfg: ExperimentConfig) -> None:
     _owned("selection_rate, pop_size", turnover_count, cfg.selection_rate, cfg.pop_size)
     if cfg.target_fitness is None and cfg.problem == "dot":
         # num_rects has no upper bound, but the default target converts it to a float
-        _owned("num_rects", lambda: TargetFitness(_default_target(cfg)))
+        _owned("num_rects", lambda: TargetFitness(float(cfg.num_rects)))
 
 
 def parse_config(
@@ -199,19 +200,9 @@ def parse_config(
 _ARENA_STREAM = 2**32
 
 
-def _default_target(cfg: ExperimentConfig) -> float:
-    """Problem-specific target when none was configured."""
-    if cfg.target_fitness is not None:
-        return cfg.target_fitness
-    if cfg.problem == "dot":
-        return float(cfg.num_rects)
-    if cfg.problem == "onemax":
-        return float(cfg.bits)
-    return float(cfg.bits // cfg.block_size)
-
-
-def _build_problem(cfg: ExperimentConfig) -> FitnessFunction:
-    """Fitness function of the configured problem, over ``cfg.bits``-bit genomes."""
+def _build_problem(cfg: ExperimentConfig) -> tuple[FitnessFunction, float]:
+    """Fitness function of the configured problem, over ``cfg.bits``-bit genomes,
+    and the target: the configured one, or else the problem's optimum."""
     if cfg.problem == "dot":
         dot_cfg = DotProblemConfig(cfg.num_rects, cfg.arena_side, cfg.bits)
         if cfg.arena_file is not None and Path(cfg.arena_file).exists():
@@ -227,11 +218,13 @@ def _build_problem(cfg: ExperimentConfig) -> FitnessFunction:
             arena = generate_random_arena(dot_cfg, arena_rng)
             if cfg.arena_file is not None:
                 save_arena(arena, cfg.arena_file)
-        return dot_fitness(dot_cfg, arena)
-    if cfg.problem == "onemax":
-        return onemax
-    block = cfg.block_size
-    return lambda genome: royal_road(genome, block)
+        fitness, optimum = dot_fitness(dot_cfg, arena), float(cfg.num_rects)
+    elif cfg.problem == "onemax":
+        fitness, optimum = onemax, float(cfg.bits)
+    else:
+        block = cfg.block_size
+        fitness, optimum = (lambda genome: royal_road(genome, block)), float(cfg.bits // block)
+    return fitness, optimum if cfg.target_fitness is None else cfg.target_fitness
 
 
 def _step_config(cfg: ExperimentConfig) -> EasyStepConfig:
@@ -240,8 +233,13 @@ def _step_config(cfg: ExperimentConfig) -> EasyStepConfig:
     return EasyStepConfig(cfg.selection_rate, [mutation, crossover])
 
 
-def _initial_population(length: int, size: int, rng: RandomSource) -> list[Individual]:
-    return [Individual(random_genome(length, rng)) for _ in range(size)]
+def _evolve(
+    cfg: ExperimentConfig, seed: int, fitness: FitnessFunction, terminators: list[Terminator]
+) -> tuple[list[Individual], RunStats]:
+    """One steady-state run from a population drawn with ``seed``."""
+    rng = RandomSource(seed)
+    pop = [Individual(random_genome(cfg.bits, rng)) for _ in range(cfg.pop_size)]
+    return run(pop, easy_step, _step_config(cfg), fitness, terminators, rng)
 
 
 def _fmt(value: float) -> str:
@@ -260,32 +258,34 @@ def _emit_result_rows(writer, stats: RunStats, prefix: Sequence = ()) -> None:
         )
 
 
-def _cmd_run(cfg: ExperimentConfig) -> int:
-    rng = RandomSource(cfg.seed)
-    fitness = _build_problem(cfg)
-    target = _default_target(cfg)
-    step_cfg = _step_config(cfg)
-    pop = _initial_population(cfg.bits, cfg.pop_size, rng)
-    terminators = [MaxGenerations(cfg.max_generations), TargetFitness(target)]
-    final, stats = run(pop, easy_step, step_cfg, fitness, terminators, rng)
-    writer = _writer()
-    writer.writerow(["generation", "best_fitness", "evaluations", "elapsed_ms"])
-    _emit_result_rows(writer, stats)
-    best = final[0].fitness
+def _summarise(
+    best: float, generations: int, evaluations: int, seconds: float, target: float
+) -> int:
+    """Print the closing summary line; the exit code says whether ``target`` was reached."""
     print(
-        f"# best={_fmt(best)} generations={stats.generations_executed} "
-        f"evaluations={stats.evaluations} time_ms={stats.wall_time * 1000:.3f}"
+        f"# best={_fmt(best)} generations={generations} "
+        f"evaluations={evaluations} time_ms={seconds * 1000:.3f}"
     )
     return 0 if best >= target else 2
 
 
+def _cmd_run(cfg: ExperimentConfig) -> int:
+    fitness, target = _build_problem(cfg)
+    terminators = [MaxGenerations(cfg.max_generations), TargetFitness(target)]
+    final, stats = _evolve(cfg, cfg.seed, fitness, terminators)
+    writer = _writer()
+    writer.writerow(["generation", "best_fitness", "evaluations", "elapsed_ms"])
+    _emit_result_rows(writer, stats)
+    return _summarise(
+        final[0].fitness, stats.generations_executed, stats.evaluations, stats.wall_time, target
+    )
+
+
 def _cmd_islands(cfg: ExperimentConfig) -> int:
-    count = cfg.islands if cfg.islands is not None else 2
     policy = MigrationPolicy(cfg.migration_policy)
-    fitness = _build_problem(cfg)
-    target = _default_target(cfg)
+    fitness, target = _build_problem(cfg)
     step_cfg = _step_config(cfg)
-    aliases = [f"node_{i}" for i in range(1, count + 1)]
+    aliases = [f"node_{i}" for i in range(1, cfg.islands + 1)]
     configs = [
         IslandConfig(
             alias=alias,
@@ -304,29 +304,30 @@ def _cmd_islands(cfg: ExperimentConfig) -> int:
     results = run_archipelago(configs)
     writer = _writer()
     writer.writerow(["island", "generation", "best_fitness", "evaluations", "elapsed_ms"])
-    for alias in aliases:
-        _, stats = results[alias]
+    for alias, (_, stats) in results.items():
         _emit_result_rows(writer, stats, prefix=[alias])
-    for alias in aliases:
-        pop, stats = results[alias]
+    # fitness is never negative, so 0 starts the best-of
+    best = generations = evaluations = seconds = 0
+    for alias, (pop, stats) in results.items():
         print(
             f"# island={alias} best={_fmt(pop[0].fitness)} "
             f"generations={stats.generations_executed} evaluations={stats.evaluations}"
         )
-    best = max(results[alias][0][0].fitness for alias in aliases)
-    generations = max(results[alias][1].generations_executed for alias in aliases)
-    evaluations = sum(results[alias][1].evaluations for alias in aliases)
-    time_ms = max(results[alias][1].wall_time for alias in aliases) * 1000
-    print(
-        f"# best={_fmt(best)} generations={generations} "
-        f"evaluations={evaluations} time_ms={time_ms:.3f}"
-    )
-    return 0 if best >= target else 2
+        best = max(best, pop[0].fitness)
+        generations = max(generations, stats.generations_executed)
+        evaluations += stats.evaluations
+        seconds = max(seconds, stats.wall_time)
+    return _summarise(best, generations, evaluations, seconds, target)
+
+
+def _bench_row(label, generations, evaluations, seconds, mean_ms, min_ms) -> list:
+    rate = evaluations / seconds if seconds > 0 else 0.0
+    times = (f"{ms:.3f}" for ms in (seconds * 1000, mean_ms, min_ms))
+    return [label, generations, evaluations, *times, f"{rate:.1f}"]
 
 
 def _cmd_bench(cfg: ExperimentConfig) -> int:
-    fitness = _build_problem(cfg)
-    step_cfg = _step_config(cfg)
+    fitness, _ = _build_problem(cfg)
     writer = _writer()
     writer.writerow(
         [
@@ -339,53 +340,22 @@ def _cmd_bench(cfg: ExperimentConfig) -> int:
             "evals_per_sec",
         ]
     )
-    total_generations = 0
-    total_evaluations = 0
-    total_seconds = 0.0
-    mean_gen_ms = []
-    min_gen_ms = []
+    reps = []
     for rep in range(1, cfg.repetitions + 1):
-        rng = RandomSource(derived_seed(cfg.seed, rep))
-        pop = _initial_population(cfg.bits, cfg.pop_size, rng)
-        _, stats = run(
-            pop, easy_step, step_cfg, fitness, [MaxGenerations(cfg.max_generations)], rng
-        )
+        terminators = [MaxGenerations(cfg.max_generations)]
+        _, stats = _evolve(cfg, derived_seed(cfg.seed, rep), fitness, terminators)
         # per-generation durations; the first one includes the initial evaluation
         durations = [
             after - before
             for before, after in zip([0.0] + stats.elapsed_seconds, stats.elapsed_seconds)
         ]
-        mean_ms = sum(durations) / len(durations) * 1000
-        min_ms = min(durations) * 1000
-        rate = stats.evaluations / stats.wall_time if stats.wall_time > 0 else 0.0
-        writer.writerow(
-            [
-                rep,
-                stats.generations_executed,
-                stats.evaluations,
-                f"{stats.wall_time * 1000:.3f}",
-                f"{mean_ms:.3f}",
-                f"{min_ms:.3f}",
-                f"{rate:.1f}",
-            ]
-        )
-        total_generations += stats.generations_executed
-        total_evaluations += stats.evaluations
-        total_seconds += stats.wall_time
-        mean_gen_ms.append(mean_ms)
-        min_gen_ms.append(min_ms)
-    overall_rate = total_evaluations / total_seconds if total_seconds > 0 else 0.0
-    writer.writerow(
-        [
-            "summary",
-            total_generations,
-            total_evaluations,
-            f"{total_seconds * 1000:.3f}",
-            f"{sum(mean_gen_ms) / len(mean_gen_ms):.3f}",
-            f"{min(min_gen_ms):.3f}",
-            f"{overall_rate:.1f}",
-        ]
-    )
+        mean_ms, min_ms = sum(durations) / len(durations) * 1000, min(durations) * 1000
+        row = stats.generations_executed, stats.evaluations, stats.wall_time, mean_ms, min_ms
+        reps.append(row)
+        writer.writerow(_bench_row(rep, *row))
+    generations, evaluations, seconds, mean_ms, min_ms = zip(*reps)
+    totals = sum(generations), sum(evaluations), sum(seconds)
+    writer.writerow(_bench_row("summary", *totals, sum(mean_ms) / len(mean_ms), min(min_ms)))
     return 0
 
 

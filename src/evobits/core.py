@@ -79,10 +79,11 @@ class BitGenome:
     length: int
 
     def __post_init__(self) -> None:
-        if not (self.length >= 1 and 0 <= self.value < 1 << self.length):
+        value, length = self.value, self.length
+        if not (type(value) is type(length) is int and length >= 1 and 0 <= value < 1 << length):
             raise ValueError(
-                f"genome needs length >= 1 and value in [0, 2**length), "
-                f"got value {self.value}, length {self.length}"
+                f"genome needs int length >= 1 and int value in [0, 2**length), "
+                f"got value {value!r}, length {length!r}"
             )
 
     @classmethod

@@ -306,6 +306,8 @@ class Evolution:
     ) -> None:
         if not terminators:
             raise ValueError("at least one terminator is required")
+        if not pop:
+            raise ValueError("population must not be empty")
         self.step, self.cfg, self.f, self.terminators, self.rng = step, cfg, f, terminators, rng
         self.stats = RunStats()
         self.start = time.perf_counter()

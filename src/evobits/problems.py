@@ -9,6 +9,7 @@ the same ids in the same order for every point.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -103,7 +104,16 @@ class RectangleArena:
 
 
 def save_arena(arena: RectangleArena, path: str | Path) -> None:
-    Path(path).write_text("".join(line + "\n" for line in arena.to_lines()))
+    """Write ``arena`` to ``path`` whole or not at all: through a sibling
+    temporary file that replaces ``path`` once it is complete."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "x") as out:
+            out.writelines(line + "\n" for line in arena.to_lines())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_arena(path: str | Path, arena_side: float) -> RectangleArena:

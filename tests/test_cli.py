@@ -2,12 +2,17 @@
 
 import contextlib
 import io
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import evobits
 from evobits.cli import ConfigError, ExperimentConfig, main, parse_config
 from evobits.problems import load_arena
 
@@ -66,6 +71,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"exp\.cfg:3: unknown key 'population'"):
             parse_config(str(path))
 
+    def test_line_without_equals_names_line(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("problem = onemax\nbits 16\n")
+        with pytest.raises(ConfigError, match=r"exp\.cfg:2: expected 'key = value'"):
+            parse_config(str(path))
+
     def test_unparseable_value_rejected(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("pop_size = many\n")
@@ -108,6 +119,18 @@ class TestRunCommand:
         assert code == 0
         summary = out.strip().splitlines()[-1]
         assert summary.startswith("# best=8 ")
+
+    def test_royalroad_default_target_is_the_block_count(self, capsys):
+        # 8 bits in blocks of 4: the run stops once both blocks are complete
+        code, out, _ = run_cli(
+            ["run", "--problem", "royalroad", "--bits", "8", "--block-size", "4",
+             "--pop-size", "16", "--max-generations", "200", "--seed", "3"],
+            capsys,
+        )
+        assert code == 0
+        summary = out.strip().splitlines()[-1]
+        assert summary.startswith("# best=2 ")
+        assert len(data_rows(out)) < 200
 
     def test_header_and_summary_schema(self, capsys):
         code, out, _ = run_cli(
@@ -388,6 +411,30 @@ class TestBenchCommand:
         assert generations == 100
         # onemax, pop 256: 256 initial + 100 generations x 51 offspring
         assert evaluations == 256 + 100 * 51
+
+
+class TestEntryPoint:
+    """``python -m evobits`` in a child process, through ``console_main``."""
+
+    @staticmethod
+    def run_module(*argv):
+        env = dict(os.environ, PYTHONPATH=str(Path(evobits.__file__).parents[1]))
+        return subprocess.run(
+            [sys.executable, "-m", "evobits", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+
+    def test_generation_limit_exits_two(self):
+        proc = self.run_module("run", "--max-generations", "1", "--seed", "1")
+        assert proc.returncode == 2
+        assert proc.stdout.splitlines()[0] == "generation,best_fitness,evaluations,elapsed_ms"
+
+    def test_bad_flag_value_exits_one(self):
+        proc = self.run_module("run", "--bits", "0")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("error: ") and "bits" in line
 
 
 # every value flag of run/islands/bench; a flag a subcommand lacks is a usage error

@@ -57,9 +57,11 @@ class TestBitGenome:
 
     @pytest.mark.parametrize(
         "value, length",
-        [(0, 0), (0, -1), (-1, 4), (16, 4), (2, 1), (1 << 300, 300)],
+        [(0, 0), (0, -1), (-1, 4), (16, 4), (2, 1), (1 << 300, 300),
+         (1.5, 4), (1, 4.0), ("3", 4), (True, 4), (1, True)],
         ids=["length_0", "length_negative", "value_negative", "value_16_of_4_bits",
-             "value_2_of_1_bit", "value_2**300_of_300_bits"],
+             "value_2_of_1_bit", "value_2**300_of_300_bits",
+             "value_float", "length_float", "value_str", "value_bool", "length_bool"],
     )
     def test_rejects_value_outside_its_length(self, value, length):
         with pytest.raises(ValueError):
@@ -113,6 +115,10 @@ class TestDecode:
             if previous is not None:
                 assert value >= previous
             previous = value
+
+    def test_gene_bits_must_be_positive(self):
+        with pytest.raises(ValueError, match="gene_bits must be positive"):
+            decode(BitGenome.from_string("1010"), 0, 0.0, 1.0)
 
     def test_gene_bits_must_divide_length(self):
         with pytest.raises(ValueError):
@@ -296,6 +302,18 @@ class TestOperatorSpecs:
             BitFlip(rate=0.0)
         with pytest.raises(ValueError):
             NPointCrossover(rate=-1.0)
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: BitFlip(flip_count=0), "flip_count"),
+            (lambda: NPointCrossover(points=0), "points"),
+        ],
+        ids=["bitflip_flip_count_0", "crossover_points_0"],
+    )
+    def test_rejects_non_positive_count(self, make, message):
+        with pytest.raises(ValueError, match=f"{message} must be positive"):
+            make()
 
     @pytest.mark.parametrize("rate", [math.inf, math.nan])
     def test_rejects_non_finite_rate(self, rate):

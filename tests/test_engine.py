@@ -418,6 +418,10 @@ class TestRun:
         with pytest.raises(ValueError):
             run(pop, easy_step, default_config(), onemax, [], rng)
 
+    def test_empty_population_rejected(self):
+        with pytest.raises(ValueError, match="population must not be empty"):
+            run([], easy_step, default_config(), onemax, [MaxGenerations(1)], RandomSource(1))
+
     def test_evaluation_accounting_is_exact(self):
         f = CountingFitness(onemax)
         pop, rng = fresh_population(20, 16, 22)

@@ -134,6 +134,11 @@ class TestIntegrateMigrant:
         assert new_pop[0] is migrant
         assert stats.evaluations == 0  # cached fitness respected
 
+    def test_empty_population_rejected(self):
+        migrant = Individual(BitGenome.from_string("1010"))
+        with pytest.raises(ValueError, match="population must not be empty"):
+            integrate_migrant([], migrant, onemax, RunStats())
+
     def test_length_mismatch_rejected_and_logged(self, caplog):
         pop = evaluated(["1111", "0000"])
         migrant = Individual(BitGenome.from_string("101010"))
@@ -169,6 +174,19 @@ class TestIslandConfig:
     def test_duplicate_peers_rejected(self):
         with pytest.raises(ValueError):
             island("a", ["b", "b"], seed=1)
+
+    @pytest.mark.parametrize(
+        "alias, kwargs, message",
+        [
+            ("", {}, "alias must not be empty"),
+            ("a", {"pop_size": 1}, "pop_size must be at least 2"),
+            ("a", {"length": 0}, "genome_length must be positive"),
+        ],
+        ids=["empty_alias", "pop_size_1", "genome_length_0"],
+    )
+    def test_unusable_value_rejected(self, alias, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            island(alias, ["b"], seed=1, **kwargs)
 
 
 class TestArchipelago:

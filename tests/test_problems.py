@@ -1,6 +1,7 @@
 """Tests for the rectangle arena, bundled fitness functions, and the grid oracle."""
 
 import math
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -192,6 +193,10 @@ class TestRoyalRoad:
     def test_known_values(self, text, block, expected):
         assert royal_road(BitGenome.from_string(text), block) == expected
 
+    def test_block_size_must_be_positive(self):
+        with pytest.raises(ValueError, match="block_size must be positive"):
+            royal_road(BitGenome.from_string("1111"), 0)
+
     def test_block_must_divide_length(self):
         with pytest.raises(ValueError):
             royal_road(BitGenome.from_string("111"), 2)
@@ -243,6 +248,28 @@ class TestArenaSerialization:
         path = tmp_path / "arena.txt"
         save_arena(arena, path)
         assert path.read_text() == "rect_a 0.5 1.5 2.0 3.0\n"
+
+    def test_failed_save_leaves_old_file_and_no_temporary(self, tmp_path, monkeypatch):
+        path = tmp_path / "arena.txt"
+        path.write_bytes(b"rect_a 0.5 1.5 2.0 3.0\n")
+        arena = generate_random_arena(DotProblemConfig(num_rects=5), RandomSource(9))
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_arena(arena, path)
+        assert path.read_bytes() == b"rect_a 0.5 1.5 2.0 3.0\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["arena.txt"]
+
+    def test_save_replaces_old_file_and_leaves_no_temporary(self, tmp_path):
+        path = tmp_path / "arena.txt"
+        path.write_text("stale\n")
+        arena = RectangleArena([Rectangle("rect_a", 0.5, 1.5, 2.0, 3.0)], 10.0)
+        save_arena(arena, path)
+        assert path.read_text() == "rect_a 0.5 1.5 2.0 3.0\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["arena.txt"]
 
     def test_malformed_line_rejected(self):
         with pytest.raises(ValueError, match="line 1"):
