@@ -156,9 +156,6 @@ def _check_cross_field(cfg: ExperimentConfig) -> None:
         )
     _owned("mutation_rate, crossover_rate", _step_config, cfg)
     _owned("selection_rate, pop_size", turnover_count, cfg.selection_rate, cfg.pop_size)
-    if cfg.target_fitness is None and cfg.problem == "dot":
-        # num_rects has no upper bound, but the default target converts it to a float
-        _owned("num_rects", lambda: TargetFitness(float(cfg.num_rects)))
 
 
 def parse_config(
@@ -458,6 +455,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         if cfg.dot_x is not None or cfg.dot_y is not None:
             print(
                 "warning: dot_x/dot_y are accepted for compatibility and ignored",
+                file=sys.stderr,
+            )
+        if args.command == "bench" and cfg.target_fitness is not None:
+            print(
+                "warning: bench runs max_generations every repetition and ignores target_fitness",
                 file=sys.stderr,
             )
         if args.command == "run":

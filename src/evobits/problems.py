@@ -1,16 +1,26 @@
 """Bundled fitness problems: dot-in-rectangles, OneMax, and Royal Road.
 
-The rectangle arena answers point-stabbing queries two ways: a plain scan
-with the bounds inlined, used by the fitness function, and a brute-force path
+The rectangle arena answers point-stabbing queries two ways: a bitset index
+built once per arena, used by the fitness function, and a brute-force path
 through ``Rectangle.contains`` kept as an independent oracle. Both must return
 the same ids in the same order for every point.
+
+The index gives rectangle i of n the bit ``n - 1 - i``. For each of the four
+edges it sorts the rectangles by that edge and stores the OR of the first k
+rectangles' bits at every 16th k, so any prefix is one stored mask plus at most
+15 bits. With closed boundaries a dot (x, y) lies in the rectangles that have
+started on both axes (``x0 <= x`` and ``y0 <= y``) and ended on neither
+(``x1 < x`` or ``y1 < y``). Spelling the mask in binary lists the hits in
+insertion order.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -18,6 +28,7 @@ from .core import BitGenome, RandomSource, decode
 from .engine import FitnessFunction
 
 __all__ = [
+    "MAX_RECTANGLES",
     "DotProblemConfig",
     "Rectangle",
     "RectangleArena",
@@ -29,6 +40,16 @@ __all__ = [
     "royal_road",
     "save_arena",
 ]
+
+
+# the index stores about n*n/32 bytes of masks: 8 MB at this many rectangles
+MAX_RECTANGLES = 2**14
+
+# edges between two stored prefix masks; a query ORs in at most this many minus one
+_CHECKPOINT = 16
+
+# binary digits to the 0/1 bytes ``itertools.compress`` selects with
+_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 @dataclass(frozen=True)
@@ -55,26 +76,66 @@ class Rectangle:
         return self.x0 <= x <= self.x1 and self.y0 <= y <= self.y1
 
 
+class _EdgeIndex:
+    """Rectangles sorted by one edge; ``prefix(k)`` is the bit mask of the first k."""
+
+    __slots__ = ("edges", "_bits", "_checkpoints")
+
+    def __init__(self, edges: Sequence[float], bits: Sequence[int]) -> None:
+        order = sorted(range(len(edges)), key=edges.__getitem__)
+        self.edges = [edges[i] for i in order]
+        self._bits = [bits[i] for i in order]
+        self._checkpoints = [0]
+        mask = 0
+        for k, bit in enumerate(self._bits, 1):
+            mask |= 1 << bit
+            if k % _CHECKPOINT == 0:
+                self._checkpoints.append(mask)
+
+    def prefix(self, k: int) -> int:
+        mask = self._checkpoints[k // _CHECKPOINT]
+        for bit in self._bits[k - k % _CHECKPOINT : k]:
+            mask |= 1 << bit
+        return mask
+
+
 class RectangleArena:
     """Immutable collection of rectangles supporting point-stabbing queries."""
 
     def __init__(self, rectangles: Sequence[Rectangle], arena_side: float) -> None:
         if not 0 < arena_side < math.inf:
             raise ValueError(f"arena_side must be positive and finite, got {arena_side}")
+        if len(rectangles) > MAX_RECTANGLES:
+            raise ValueError(
+                f"an arena holds at most {MAX_RECTANGLES} rectangles, got {len(rectangles)}"
+            )
         ids = [r.id for r in rectangles]
         if len(set(ids)) != len(ids):
             raise ValueError("rectangle ids must be unique")
         self.rectangles: tuple[Rectangle, ...] = tuple(rectangles)
         self.arena_side = float(arena_side)
+        self._ids = ids
+        self._binary = f"0{len(ids)}b"
+        # one int object per rectangle, shared by the four indexes
+        bits = list(range(len(ids) - 1, -1, -1))
+        self._x0, self._x1, self._y0, self._y1 = (
+            _EdgeIndex([getattr(r, edge) for r in self.rectangles], bits)
+            for edge in ("x0", "x1", "y0", "y1")
+        )
 
     def __len__(self) -> int:
         return len(self.rectangles)
 
     def rectangles_containing_dot(self, x: float, y: float) -> list[str]:
         """Ids of all rectangles containing (x, y), in insertion order."""
-        # no index: a search gathers its dots where most rectangles start to
-        # their left, so an x0-sorted index skipped only 3% and cost more than it saved
-        return [r.id for r in self.rectangles if r.x0 <= x <= r.x1 and r.y0 <= y <= r.y1]
+        if x != x or y != y:
+            # NaN sorts after every lower edge and before every upper one
+            return []
+        x0, x1, y0, y1 = self._x0, self._x1, self._y0, self._y1
+        started = x0.prefix(bisect_right(x0.edges, x)) & y0.prefix(bisect_right(y0.edges, y))
+        ended = x1.prefix(bisect_left(x1.edges, x)) | y1.prefix(bisect_left(y1.edges, y))
+        hits = format(started & ~ended, self._binary).encode().translate(_DIGITS)
+        return list(compress(self._ids, hits))
 
     def rectangles_containing_dot_brute(self, x: float, y: float) -> list[str]:
         """Brute-force oracle scanning every rectangle; same contract as above."""
@@ -131,8 +192,9 @@ class DotProblemConfig:
     """
 
     def __init__(self, num_rects: int = 25, arena_side: float = 10.0, bits: int = 32) -> None:
-        if num_rects < 1:
-            raise ValueError(f"num_rects must be positive, got {num_rects}")
+        # a generated arena holds num_rects + 1 rectangles
+        if not 1 <= num_rects < MAX_RECTANGLES:
+            raise ValueError(f"num_rects must be in [1, {MAX_RECTANGLES - 1}], got {num_rects}")
         # generated rectangles reach up to twice the side, which must stay finite
         if not 0 < 2 * arena_side < math.inf:
             raise ValueError(

@@ -46,7 +46,12 @@ def test_workload_episode_passes_its_checks(name, tmp_path, restore_evobits):
 
     traced = run_episode(w, SEED, Tracer())
     assert check_episode(w, traced) == []
-    assert traced.probe.totals()["problems.fitness"].calls == traced.evaluations
+    totals = traced.probe.totals()
+    assert totals["problems.fitness"].calls == traced.evaluations
+    if traced.arena is not None:
+        # every evaluation must pass through the probed query, or the
+        # benchmark's trace coverage loses the stabbing time
+        assert totals["problems.stab"].calls == totals["problems.fitness"].calls
 
     arena_file = None
     if traced.arena is not None:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import evobits
 from evobits.cli import ConfigError, ExperimentConfig, main, parse_config
-from evobits.problems import load_arena
+from evobits.problems import MAX_RECTANGLES, load_arena
 
 
 def run_cli(argv, capsys):
@@ -229,8 +229,10 @@ class TestRunCommand:
             (["run", "--problem", "onemax", "--bits", "100000000000",
               "--target-fitness", "1", "--pop-size", "2"], "bits"),
             (["run", "--problem", "onemax", "--pop-size", str(2**20 + 1)], "pop_size"),
-            # accepted as a count, but its default target overflows a float
+            # far past the cap on arena size (its default target would overflow a float)
             (["run", "--num-rects", "9" * 401], "num_rects"),
+            # a generated arena holds num_rects + 1 rectangles, one past the cap
+            (["run", "--num-rects", str(MAX_RECTANGLES)], "num_rects"),
         ],
         ids=[
             "selection_rate",
@@ -250,6 +252,7 @@ class TestRunCommand:
             "bits_above_bound",
             "pop_size_above_bound",
             "num_rects_target_overflow",
+            "num_rects_above_bound",
         ],
     )
     def test_bad_flag_value_is_config_error(self, argv, key, capsys):
@@ -320,6 +323,20 @@ class TestRunCommand:
         (line,) = err.splitlines()
         assert line.startswith("error: ") and f"{rectangles} rectangles" in line
         assert "num_rects 25 needs 26" in line
+
+    def test_arena_file_above_size_bound_rejected(self, tmp_path, capsys):
+        arena_path = tmp_path / "arena.txt"
+        arena_path.write_text(
+            "".join(f"rectangle_{i} 0 0 5 5\n" for i in range(MAX_RECTANGLES + 1))
+        )
+        code, out, err = run_cli(
+            ["run", "--arena-file", str(arena_path), "--num-rects", str(MAX_RECTANGLES - 1)],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith(f"error: {arena_path}: ") and f"at most {MAX_RECTANGLES}" in line
 
     def test_arena_file_matches_generated_arena(self, tmp_path, capsys):
         # pinning the arena to a file must not change the run itself
@@ -403,6 +420,18 @@ class TestBenchCommand:
             return (evaluations - pop_size) / generations
 
         assert offspring_per_generation(512) == 2 * offspring_per_generation(256)
+
+    def test_target_fitness_ignored_with_warning(self, capsys):
+        code, out, err = run_cli(
+            ["bench", "--target-fitness", "3", "--repetitions", "1",
+             "--max-generations", "5", "--pop-size", "16", "--seed", "18"],
+            capsys,
+        )
+        assert code == 0
+        assert int(out.strip().splitlines()[1].split(",")[1]) == 5
+        assert err.splitlines() == [
+            "warning: bench runs max_generations every repetition and ignores target_fitness"
+        ]
 
     def test_bench_defaults(self, capsys):
         _, out, _ = run_cli(["bench", "--repetitions", "1", "--seed", "17"], capsys)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from evobits.core import BitGenome, RandomSource, random_genome
 from evobits.problems import (
+    MAX_RECTANGLES,
     DotProblemConfig,
     Rectangle,
     RectangleArena,
@@ -101,6 +102,52 @@ class TestRectangleArena:
                 arena.rectangles_containing_dot_brute(x, y)
             )
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_index_matches_brute_force_everywhere(self, data):
+        # few distinct coordinates: edges are shared, rectangles repeat, and
+        # some have zero width or height
+        coordinates = st.sampled_from([0.0, 0.5, 1.0, 2.5, 3.0, 7.25, 10.0])
+        corners = st.tuples(coordinates, coordinates, coordinates, coordinates)
+        # past 16 rectangles queries combine a stored mask with leftover bits
+        boxes = data.draw(st.lists(corners, max_size=40))
+        rects = [
+            Rectangle(f"r{i}", min(a, b), min(c, d), max(a, b), max(c, d))
+            for i, (a, b, c, d) in enumerate(boxes)
+        ]
+        arena = RectangleArena(rects, 10.0)
+        edges = {v for r in rects for v in (r.x0, r.y0, r.x1, r.y1)}
+        probes = st.one_of(
+            coordinates,
+            st.sampled_from(sorted(edges) or [0.0]),
+            st.sampled_from([-1.0, 10.5, math.inf, -math.inf, math.nan]),
+            st.floats(allow_nan=True, allow_infinity=True),
+        )
+        for x, y in data.draw(st.lists(st.tuples(probes, probes), min_size=1, max_size=20)):
+            hits = arena.rectangles_containing_dot(x, y)
+            assert hits == arena.rectangles_containing_dot_brute(x, y)
+            assert len(hits) == sum(r.contains(x, y) for r in rects)
+
+    @pytest.mark.parametrize(
+        "x, y", [(math.nan, 5.0), (5.0, math.nan), (math.nan, math.nan), (math.nan, math.inf)]
+    )
+    def test_nan_dot_is_in_no_rectangle(self, x, y):
+        arena = RectangleArena([Rectangle("a", 0, 0, 10, 10)], 10.0)
+        assert arena.rectangles_containing_dot(x, y) == []
+
+    @pytest.mark.parametrize(
+        "x, y", [(math.inf, 5.0), (-math.inf, 5.0), (5.0, math.inf), (5.0, -math.inf)]
+    )
+    def test_infinite_dot_is_in_no_rectangle(self, x, y):
+        arena = RectangleArena([Rectangle("a", 0, 0, 10, 10)], 10.0)
+        assert arena.rectangles_containing_dot(x, y) == []
+
+    def test_size_bound(self):
+        rects = [Rectangle(f"r{i}", 0, 0, 1, 1) for i in range(MAX_RECTANGLES + 1)]
+        assert len(RectangleArena(rects[:-1], 10.0)) == MAX_RECTANGLES
+        with pytest.raises(ValueError, match=f"at most {MAX_RECTANGLES}"):
+            RectangleArena(rects, 10.0)
+
     def test_non_positive_side_rejected(self):
         with pytest.raises(ValueError):
             RectangleArena([], 0.0)
@@ -163,6 +210,10 @@ class TestDotFitness:
             DotProblemConfig(bits=7)
         with pytest.raises(ValueError):
             DotProblemConfig(num_rects=0)
+        # a generated arena holds num_rects + 1 rectangles
+        assert DotProblemConfig(num_rects=MAX_RECTANGLES - 1).num_rects == MAX_RECTANGLES - 1
+        with pytest.raises(ValueError, match="num_rects"):
+            DotProblemConfig(num_rects=MAX_RECTANGLES)
 
     # 1e308: a generated rectangle's far corner, up to twice the side, overflows
     @pytest.mark.parametrize("side", [0.0, math.inf, math.nan, 1e308])
