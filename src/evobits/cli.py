@@ -266,10 +266,14 @@ def _summarise(
     return 0 if best >= target else 2
 
 
+def _terminators(cfg: ExperimentConfig, target: float) -> list[Terminator]:
+    """Stop at the generation limit or once the best reaches ``target``."""
+    return [MaxGenerations(cfg.max_generations), TargetFitness(target)]
+
+
 def _cmd_run(cfg: ExperimentConfig) -> int:
     fitness, target = _build_problem(cfg)
-    terminators = [MaxGenerations(cfg.max_generations), TargetFitness(target)]
-    final, stats = _evolve(cfg, cfg.seed, fitness, terminators)
+    final, stats = _evolve(cfg, cfg.seed, fitness, _terminators(cfg, target))
     writer = _writer()
     writer.writerow(["generation", "best_fitness", "evaluations", "elapsed_ms"])
     _emit_result_rows(writer, stats)
@@ -291,7 +295,7 @@ def _cmd_islands(cfg: ExperimentConfig) -> int:
             pop_size=cfg.pop_size,
             genome_length=cfg.bits,
             step_config=step_cfg,
-            terminator=MaxGenerations(cfg.max_generations),
+            terminator=_terminators(cfg, target),
             step=canonical_step,
             migration_policy=policy,
             seed=derived_seed(cfg.seed, i),

@@ -78,7 +78,7 @@ class IslandConfig:
         pop_size: int,
         genome_length: int,
         step_config: EasyStepConfig,
-        terminator: Terminator,
+        terminator: Terminator | Sequence[Terminator],
         step: StepFunction = easy_step,
         migration_policy: MigrationPolicy = MigrationPolicy.BEST,
         seed: int = 0,
@@ -95,7 +95,9 @@ class IslandConfig:
             raise ValueError(f"genome_length must be positive, got {genome_length}")
         self.alias, self.peers, self.fitness = alias, peers, fitness
         self.pop_size, self.genome_length = pop_size, genome_length
-        self.step_config, self.terminator, self.step = step_config, terminator, step
+        self.step_config, self.step = step_config, step
+        # the island stops once any of its terminators fires
+        self.terminators = [terminator] if isinstance(terminator, Terminator) else list(terminator)
         self.migration_policy, self.seed = migration_policy, seed
 
 
@@ -192,9 +194,9 @@ def integrate_migrant(
 class Archipelago:
     """Round-robin scheduler stepping islands one generation per round.
 
-    Pending messages are always delivered before an island's step. Islands
-    whose terminator has fired stop stepping and sending but keep draining
-    (and discarding) their mailbox, so no message is ever lost; a migrant
+    Pending messages are always delivered before an island's step. Once any
+    of an island's terminators fires it stops stepping and sending but keeps
+    draining (and discarding) its mailbox, so no message is ever lost; a migrant
     :func:`integrate_migrant` rejects is counted in ``messages_rejected``.
     The ``log`` holds one ``<round> <alias> <event> <detail>`` line per event;
     events are kept raw and formatted into lines only when ``log`` is read.
@@ -221,7 +223,7 @@ class Archipelago:
                 for _ in range(cfg.pop_size)
             ]
             self.sessions[cfg.alias] = Evolution(
-                pop, cfg.step, cfg.step_config, cfg.fitness, [cfg.terminator], rng
+                pop, cfg.step, cfg.step_config, cfg.fitness, cfg.terminators, rng
             )
         self.mailboxes: dict[str, deque[MigrantMessage]] = {
             alias: deque() for alias in aliases
@@ -283,7 +285,7 @@ class Archipelago:
             self._record(alias, "send", "to={} gen={}", peer, generation)
 
     def run(self) -> dict[str, tuple[list[Individual], RunStats]]:
-        """Step all islands until every terminator has fired."""
+        """Step all islands until each has stopped."""
         while any(not e.finished for e in self.sessions.values()):
             self.round += 1
             for alias in self._configs:

@@ -5,20 +5,20 @@ built once per arena, used by the fitness function, and a brute-force path
 through ``Rectangle.contains`` kept as an independent oracle. Both must return
 the same ids in the same order for every point.
 
-The index gives rectangle i of n the bit ``n - 1 - i``. For each of the four
-edges it sorts the rectangles by that edge and stores the OR of the first k
-rectangles' bits at every 16th k, so any prefix is one stored mask plus at most
-15 bits. With closed boundaries a dot (x, y) lies in the rectangles that have
-started on both axes (``x0 <= x`` and ``y0 <= y``) and ended on neither
-(``x1 < x`` or ``y1 < y``). Spelling the mask in binary lists the hits in
-insertion order.
+The index gives rectangle i of n the bit ``n - 1 - i``. On each axis it sorts
+both edges of every rectangle into one list, a lower edge ahead of an equal
+upper one, and stores the XOR of the first k edges' bits at every 16th k. A
+rectangle's bit flips on at its lower edge and off at its upper one, so the
+XOR up to v is the set of rectangles whose closed extent holds v: one stored
+mask plus at most 15 bits. A dot (x, y) lies in the rectangles held on both
+axes. Spelling the mask in binary lists the hits in insertion order.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress
 from pathlib import Path
@@ -45,7 +45,7 @@ __all__ = [
 # the index stores about n*n/32 bytes of masks: 8 MB at this many rectangles
 MAX_RECTANGLES = 2**14
 
-# edges between two stored prefix masks; a query ORs in at most this many minus one
+# edges between two stored prefix masks; a query XORs in at most this many minus one
 _CHECKPOINT = 16
 
 # binary digits to the 0/1 bytes ``itertools.compress`` selects with
@@ -76,26 +76,31 @@ class Rectangle:
         return self.x0 <= x <= self.x1 and self.y0 <= y <= self.y1
 
 
-class _EdgeIndex:
-    """Rectangles sorted by one edge; ``prefix(k)`` is the bit mask of the first k."""
+class _AxisIndex:
+    """Both edges of each rectangle on one axis; ``holding(v)`` masks the rectangles holding v."""
 
-    __slots__ = ("edges", "_bits", "_checkpoints")
+    __slots__ = ("keys", "_bits", "_checkpoints")
 
-    def __init__(self, edges: Sequence[float], bits: Sequence[int]) -> None:
-        order = sorted(range(len(edges)), key=edges.__getitem__)
-        self.edges = [edges[i] for i in order]
-        self._bits = [bits[i] for i in order]
+    def __init__(self, lows: Sequence[float], highs: Sequence[float], bits: Sequence[int]) -> None:
+        edges, n = [*lows, *highs], len(lows)
+        # stable: a lower edge stays ahead of an equal upper one
+        order = sorted(range(2 * n), key=edges.__getitem__)
+        self.keys = [(edges[i], i >= n) for i in order]
+        # edge i bounds rectangle i mod n
+        self._bits = [bits[i % n] for i in order]
         self._checkpoints = [0]
         mask = 0
         for k, bit in enumerate(self._bits, 1):
-            mask |= 1 << bit
+            mask ^= 1 << bit
             if k % _CHECKPOINT == 0:
                 self._checkpoints.append(mask)
 
-    def prefix(self, k: int) -> int:
+    def holding(self, v: float) -> int:
+        # (v, True) sorts above lower edges <= v and upper edges < v, and (nan, True) above none
+        k = bisect_left(self.keys, (v, True))
         mask = self._checkpoints[k // _CHECKPOINT]
         for bit in self._bits[k - k % _CHECKPOINT : k]:
-            mask |= 1 << bit
+            mask ^= 1 << bit
         return mask
 
 
@@ -116,26 +121,18 @@ class RectangleArena:
         self.arena_side = float(arena_side)
         self._ids = ids
         self._binary = f"0{len(ids)}b"
-        # one int object per rectangle, shared by the four indexes
+        # one int object per rectangle, shared by both indexes
         bits = list(range(len(ids) - 1, -1, -1))
-        self._x0, self._x1, self._y0, self._y1 = (
-            _EdgeIndex([getattr(r, edge) for r in self.rectangles], bits)
-            for edge in ("x0", "x1", "y0", "y1")
-        )
+        self._x = _AxisIndex([r.x0 for r in rectangles], [r.x1 for r in rectangles], bits)
+        self._y = _AxisIndex([r.y0 for r in rectangles], [r.y1 for r in rectangles], bits)
 
     def __len__(self) -> int:
         return len(self.rectangles)
 
     def rectangles_containing_dot(self, x: float, y: float) -> list[str]:
         """Ids of all rectangles containing (x, y), in insertion order."""
-        if x != x or y != y:
-            # NaN sorts after every lower edge and before every upper one
-            return []
-        x0, x1, y0, y1 = self._x0, self._x1, self._y0, self._y1
-        started = x0.prefix(bisect_right(x0.edges, x)) & y0.prefix(bisect_right(y0.edges, y))
-        ended = x1.prefix(bisect_left(x1.edges, x)) | y1.prefix(bisect_left(y1.edges, y))
-        hits = format(started & ~ended, self._binary).encode().translate(_DIGITS)
-        return list(compress(self._ids, hits))
+        hits = format(self._x.holding(x) & self._y.holding(y), self._binary)
+        return list(compress(self._ids, hits.encode().translate(_DIGITS)))
 
     def rectangles_containing_dot_brute(self, x: float, y: float) -> list[str]:
         """Brute-force oracle scanning every rectangle; same contract as above."""
@@ -147,11 +144,17 @@ class RectangleArena:
 
     @classmethod
     def from_lines(cls, lines: Iterable[str], arena_side: float) -> "RectangleArena":
+        """Arena of one ``id x0 y0 x1 y1`` line per rectangle, blank lines skipped;
+        reading stops at the first line past ``MAX_RECTANGLES``."""
         rectangles = []
         for lineno, raw in enumerate(lines, 1):
             line = raw.strip()
             if not line:
                 continue
+            if len(rectangles) == MAX_RECTANGLES:
+                raise ValueError(
+                    f"line {lineno}: an arena holds at most {MAX_RECTANGLES} rectangles"
+                )
             parts = line.split()
             if len(parts) != 5:
                 raise ValueError(
@@ -179,7 +182,8 @@ def save_arena(arena: RectangleArena, path: str | Path) -> None:
 
 def load_arena(path: str | Path, arena_side: float) -> RectangleArena:
     try:
-        return RectangleArena.from_lines(Path(path).read_text().splitlines(), arena_side)
+        with open(path) as lines:
+            return RectangleArena.from_lines(lines, arena_side)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

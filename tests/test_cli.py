@@ -358,9 +358,23 @@ class TestIslandsCommand:
         lines = out.strip().splitlines()
         assert lines[0] == "island,generation,best_fitness,evaluations,elapsed_ms"
         rows = data_rows(out)
-        assert len(rows) == 10  # 2 islands x 5 generations
         assert {row.split(",")[0] for row in rows} == {"node_1", "node_2"}
-        assert sum(1 for line in lines if line.startswith("# island=")) == 2
+        summaries = [line for line in lines if line.startswith("# island=")]
+        assert len(summaries) == 2
+        # one row per generation each island ran; an island stops at the target
+        generations = [int(re.search(r"generations=(\d+)", line)[1]) for line in summaries]
+        assert len(rows) == sum(generations)
+
+    def test_islands_stop_at_target(self, capsys):
+        code, out, _ = run_cli(
+            ["islands", "--problem", "onemax", "--bits", "8",
+             "--max-generations", "50", "--seed", "2"],
+            capsys,
+        )
+        assert code == 0
+        summary = out.strip().splitlines()[-1]
+        assert summary.startswith("# best=8 ")
+        assert int(re.search(r"generations=(\d+)", summary)[1]) < 50
 
     def test_island_count_and_policy_flags(self, capsys):
         code, out, _ = run_cli(

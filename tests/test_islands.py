@@ -44,7 +44,8 @@ def step_config():
     )
 
 
-def island(alias, peers, *, seed, generations=10, pop_size=16, length=24, **kwargs):
+def island(alias, peers, *, seed, generations=10, pop_size=16, length=24, terminator=None,
+           **kwargs):
     return IslandConfig(
         alias=alias,
         peers=peers,
@@ -52,7 +53,7 @@ def island(alias, peers, *, seed, generations=10, pop_size=16, length=24, **kwar
         pop_size=pop_size,
         genome_length=length,
         step_config=step_config(),
-        terminator=MaxGenerations(generations),
+        terminator=terminator or MaxGenerations(generations),
         seed=seed,
         **kwargs,
     )
@@ -304,6 +305,14 @@ class TestArchipelago:
         assert session.stats.generations_executed == 1
         assert session.finished
         assert session.stats.best_per_generation == [(1, 24.0)]
+
+    def test_island_stops_at_whichever_terminator_fires_first(self):
+        limit, target = MaxGenerations(50), TargetFitness(8.0)
+        cfg = island("solo", [], seed=2, length=8, terminator=[limit, target])
+        assert cfg.terminators == [limit, target]
+        ((pop, stats),) = run_archipelago([cfg]).values()
+        assert pop[0].fitness == 8.0
+        assert stats.generations_executed < 50
 
     def test_lone_island_sends_nothing(self):
         arch = Archipelago([island("solo", [], seed=7, generations=5)])

@@ -106,8 +106,12 @@ class TestRectangleArena:
     @given(st.data())
     def test_index_matches_brute_force_everywhere(self, data):
         # few distinct coordinates: edges are shared, rectangles repeat, and
-        # some have zero width or height
-        coordinates = st.sampled_from([0.0, 0.5, 1.0, 2.5, 3.0, 7.25, 10.0])
+        # some have zero width or height; ints past 2**53 compare exactly with
+        # the float next to them, which a nudged float edge would not
+        big = 2**60
+        coordinates = st.sampled_from(
+            [0.0, 0.5, 1.0, 2.5, 3.0, 7.25, 10.0, big, big + 1, float(big)]
+        )
         corners = st.tuples(coordinates, coordinates, coordinates, coordinates)
         # past 16 rectangles queries combine a stored mask with leftover bits
         boxes = data.draw(st.lists(corners, max_size=40))
@@ -334,6 +338,13 @@ class TestArenaSerialization:
         lines = ["rectangle_0 0 0 5 5", "rectangle_1 1 1 inf 2"]
         with pytest.raises(ValueError, match="line 2: .*finite"):
             RectangleArena.from_lines(lines, 10.0)
+
+    def test_file_past_size_bound_rejected_before_rest_is_parsed(self, tmp_path):
+        path = tmp_path / "arena.txt"
+        lines = [f"rectangle_{i} 0 0 5 5\n" for i in range(MAX_RECTANGLES + 1)]
+        path.write_text("".join(lines) + "\n" + "not a rectangle\n")
+        with pytest.raises(ValueError, match=f"line {MAX_RECTANGLES + 1}: .*at most"):
+            load_arena(path, 10.0)
 
     def test_load_error_names_file_and_line(self, tmp_path):
         path = tmp_path / "arena.txt"
