@@ -55,8 +55,25 @@ class RandomSource:
         return self._rng.randrange(n)
 
     def sample(self, population: Sequence[int], k: int) -> list[int]:
-        """k distinct elements drawn uniformly from ``population``."""
-        return self._rng.sample(population, k)
+        """k distinct elements drawn uniformly from ``population``.
+
+        Draws exactly as ``random.Random.sample``. A range of more than 21
+        items with k <= 5 takes the stdlib's set path inline, without its
+        abstract-base-class check; any other call goes to the stdlib.
+        """
+        if not (type(population) is range and len(population) > 21 and 0 <= k <= 5):
+            return self._rng.sample(population, k)
+        # the stdlib's _randbelow(n) redraws getrandbits(n.bit_length()) until
+        # it is below n, and the set path redraws an index already taken
+        n = len(population)
+        getrandbits, bits = self._rng.getrandbits, n.bit_length()
+        picked: list[int] = []
+        for _ in range(k):
+            j = getrandbits(bits)
+            while j >= n or j in picked:
+                j = getrandbits(bits)
+            picked.append(j)
+        return [population[j] for j in picked]
 
     def __repr__(self) -> str:
         return f"RandomSource(seed={self.seed})"
@@ -113,6 +130,23 @@ class BitGenome:
         return format(self.value, f"0{self.length}b")
 
 
+_new_object = object.__new__
+_set_value = BitGenome.value.__set__
+_set_length = BitGenome.length.__set__
+
+
+def _trusted_genome(value: int, length: int) -> BitGenome:
+    """Genome the operators built themselves, in range by construction.
+
+    The slot setters skip ``__post_init__``'s check, which stays on the
+    public constructor as the input boundary; the result is still frozen.
+    """
+    genome = _new_object(BitGenome)
+    _set_value(genome, value)
+    _set_length(genome, length)
+    return genome
+
+
 def random_genome(length: int, rng: RandomSource) -> BitGenome:
     """Genome of ``length`` bits, each independently 0 or 1 with p = 0.5, gene 0 first."""
     value = 0
@@ -158,7 +192,7 @@ def bitflip(genome: BitGenome, flip_count: int, rng: RandomSource) -> BitGenome:
     mask = 0
     for i in rng.sample(range(length), flip_count):
         mask |= 1 << (length - 1 - i)
-    return BitGenome(genome.value ^ mask, length)
+    return _trusted_genome(genome.value ^ mask, length)
 
 
 def n_point_crossover(
@@ -181,7 +215,7 @@ def n_point_crossover(
     from_b = 0
     for cut in rng.sample(range(1, length), points):
         from_b ^= (1 << (length - cut)) - 1
-    return BitGenome(a.value ^ (a.value ^ b.value) & from_b, length)
+    return _trusted_genome(a.value ^ (a.value ^ b.value) & from_b, length)
 
 
 def hamming(a: BitGenome, b: BitGenome) -> int:
@@ -228,27 +262,32 @@ class NPointCrossover:
 OperatorSpec = Union[BitFlip, NPointCrossover]
 
 
-def _rate_total(ops: Sequence[OperatorSpec]) -> float:
-    """Sum of the rates of one or more operators, each positive, to a finite total."""
+def _rate_wheel(ops: Sequence[OperatorSpec]) -> list[float]:
+    """Running sums of the rates of one or more operators, each positive,
+    to a finite total (the last sum)."""
     if not ops:
         raise ValueError("at least one variation operator is required")
+    wheel = []
     total = 0.0
     for op in ops:
         if op.rate <= 0:
             raise ValueError(f"operator rate must be positive, got {op.rate}")
         total += op.rate
+        wheel.append(total)
     # an infinite or NaN total would send every draw to the last operator
     if not math.isfinite(total):
         raise ValueError(f"operator rates must sum to a finite total, got {total}")
-    return total
+    return wheel
 
 
 def choose_operator(ops: Sequence[OperatorSpec], rng: RandomSource) -> int:
     """Index of one operator, drawn with probability rate_i / sum(rates).
 
     Rates are normalized at call time, so they may be changed between calls.
+    The generation steps normalize them once per step instead, bisecting
+    that step's running sums with the same single draw.
     """
-    u = _rate_total(ops) * rng.random()  # rates checked before the draw
+    u = _rate_wheel(ops)[-1] * rng.random()  # rates checked before the draw
     acc = 0.0
     for i, op in enumerate(ops):
         acc += op.rate

@@ -15,7 +15,7 @@ from itertools import accumulate
 from numbers import Real
 from typing import Callable, Sequence, Union
 
-from .core import BitGenome, OperatorSpec, RandomSource, _rate_total, choose_operator
+from .core import BitGenome, OperatorSpec, RandomSource, _rate_wheel
 
 __all__ = [
     "EasyStepConfig",
@@ -70,7 +70,7 @@ class EasyStepConfig:
     def __init__(self, selection_rate: float, operators: Sequence[OperatorSpec]) -> None:
         if not 0.0 < selection_rate < 1.0:
             raise ValueError(f"selection_rate must be in (0, 1), got {selection_rate}")
-        _rate_total(operators)
+        _rate_wheel(operators)
         self.selection_rate = selection_rate
         self.operators = operators
 
@@ -196,10 +196,12 @@ def _spin_without(
 ) -> int:
     """Roulette index over every slot but ``first``, whose fitness is ``weight``.
 
-    Draws and picks exactly as a wheel rebuilt without that slot would: the
-    slots after ``first`` are searched on their sums minus ``weight``, which
-    equal that wheel's sums for whole-number fitness (``u + weight`` can round
-    onto a boundary and would not).
+    Draws and picks as a wheel rebuilt without that slot would: a slot ``i``
+    after ``first`` is hit when ``u < cumulative[i] - weight``, which equals
+    that wheel's test for whole-number fitness. The search bisects on
+    ``u + weight``, which can round across a boundary, then steps to the
+    first slot where that exact test holds; the test only turns from false
+    to true along the wheel, so the pick is the same for every fitness.
     """
     last = len(cumulative) - 1
     if not last:
@@ -212,7 +214,12 @@ def _spin_without(
     u = rng.random() * rest
     if first and u < cumulative[first - 1]:
         return bisect_right(cumulative, u, 0, first)
-    pick = bisect_right(cumulative, u, first + 1, key=lambda c: c - weight)
+    lo = first + 1
+    pick = bisect_right(cumulative, u + weight, lo)
+    while pick > lo and u < cumulative[pick - 1] - weight:
+        pick -= 1
+    while pick <= last and not u < cumulative[pick] - weight:
+        pick += 1
     if pick <= last:
         return pick
     return last if first != last else last - 1
@@ -224,11 +231,15 @@ def _make_offspring(
     cfg: EasyStepConfig,
     rng: RandomSource,
 ) -> list[Individual]:
-    # one prefix-sum wheel per step: each roulette pick is a bisection, O(log N)
+    # one operator wheel and one prefix-sum fitness wheel per step, so each
+    # pick is a bisection; the rates are checked here, before any draw
+    ops = cfg.operators
+    op_wheel = _rate_wheel(ops)
+    op_total, last_op = op_wheel[-1], len(ops) - 1
     cumulative = list(accumulate(ind.fitness for ind in parent_pool))
     offspring = []
     for _ in range(count):
-        op = cfg.operators[choose_operator(cfg.operators, rng)]
+        op = ops[min(bisect_right(op_wheel, op_total * rng.random()), last_op)]
         first = _spin(cumulative, rng)
         parents = [parent_pool[first].genome]
         if op.arity != 1:

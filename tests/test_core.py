@@ -1,10 +1,12 @@
 """Tests for genomes, decoding, variation operators, and operator choice."""
 
+import dataclasses
 import itertools
 import math
+import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evobits.core import (
@@ -12,6 +14,7 @@ from evobits.core import (
     BitGenome,
     NPointCrossover,
     RandomSource,
+    _trusted_genome,
     bitflip,
     choose_operator,
     decode,
@@ -39,6 +42,44 @@ class TestRandomSource:
     def test_seed_out_of_range(self, seed):
         with pytest.raises(ValueError):
             RandomSource(seed)
+
+    @given(
+        st.integers(1, 300).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, min(n, 8)))),
+        st.integers(0, 2**64 - 1),
+    )
+    @example((21, 5), 0)  # largest population on the stdlib's pool path
+    @example((22, 5), 0)  # smallest population on the set path
+    @example((22, 6), 0)  # k past the set path's small-table bound
+    @example((127, 2), 1)
+    @settings(max_examples=500, deadline=None)
+    def test_sample_draws_as_the_stdlib(self, n_k, seed):
+        n, k = n_k
+        oracle = random.Random(seed)
+        rng = RandomSource(seed)
+        assert rng.sample(range(n), k) == oracle.sample(range(n), k)
+        assert rng.random() == oracle.random()
+
+    @pytest.mark.parametrize("n", [20, 21, 22, 23])
+    def test_sample_draws_as_the_stdlib_at_the_path_boundary(self, n):
+        for k in range(9):
+            for seed in range(100):
+                oracle = random.Random(seed)
+                rng = RandomSource(seed)
+                assert rng.sample(range(n), k) == oracle.sample(range(n), k)
+                assert rng.random() == oracle.random()
+
+    @pytest.mark.parametrize("population", [range(1, 128), range(0, 300, 7), list(range(40))])
+    def test_sample_draws_as_the_stdlib_off_zero(self, population):
+        for seed in range(50):
+            oracle = random.Random(seed)
+            rng = RandomSource(seed)
+            assert rng.sample(population, 3) == oracle.sample(population, 3)
+            assert rng.random() == oracle.random()
+
+    @pytest.mark.parametrize("k", [-1, 41])
+    def test_sample_size_outside_population_rejected(self, k):
+        with pytest.raises(ValueError):
+            RandomSource(0).sample(range(40), k)
 
 
 class TestBitGenome:
@@ -70,6 +111,42 @@ class TestBitGenome:
     @pytest.mark.parametrize("value, length", [(0, 1), (1, 1), (15, 4), ((1 << 300) - 1, 300)])
     def test_accepts_every_value_of_its_length(self, value, length):
         assert BitGenome(value, length).value == value
+
+    @pytest.mark.parametrize("value, length", [(2**8, 8), (-1, 8), (0, 0)])
+    def test_public_constructor_is_still_the_boundary(self, value, length):
+        with pytest.raises(ValueError):
+            BitGenome(value, length)
+
+    @given(st.integers(1, 300).flatmap(lambda n: st.tuples(st.integers(0, 2**n - 1), st.just(n))))
+    @example((0, 1))
+    @example((2**300 - 1, 300))
+    def test_trusted_genome_equals_checked_genome(self, value_length):
+        value, length = value_length
+        trusted, checked = _trusted_genome(value, length), BitGenome(value, length)
+        assert type(trusted) is BitGenome
+        assert trusted == checked
+        assert hash(trusted) == hash(checked)
+        assert str(trusted) == str(checked)
+        assert (trusted.value, trusted.length) == (value, length)
+
+    def test_trusted_genome_is_frozen(self):
+        genome = _trusted_genome(5, 4)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            genome.value = 6
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            genome.length = 3
+        assert genome == BitGenome(5, 4)
+
+    @given(genomes, st.integers(0, 2**32))
+    @settings(max_examples=100, deadline=None)
+    def test_operator_outputs_pass_the_public_check(self, genome, seed):
+        rng = RandomSource(seed)
+        children = [bitflip(genome, 1, rng)]
+        if genome.length > 1:
+            children.append(n_point_crossover(genome, children[0], 1, rng))
+        for child in children:
+            assert type(child) is BitGenome
+            assert child == BitGenome(child.value, child.length)
 
 
 class TestRandomGenome:

@@ -1,6 +1,8 @@
 """Tests for evaluation caching, generation steps, terminators, and the run loop."""
 
 import math
+from bisect import bisect_right
+from itertools import accumulate
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,6 +25,7 @@ from evobits.engine import (
     RunStats,
     TargetFitness,
     _make_offspring,
+    _spin_without,
     canonical_step,
     easy_step,
     evaluate_population,
@@ -228,6 +231,172 @@ class TestRouletteSelection:
             fitnesses, 2, 1, ScriptedRandom(draws), ScriptedRandom(draws)
         )
         assert picked == expected
+
+
+def keyed_spin_without(cumulative, first, weight, rng):
+    """Oracle: the second spin's search with a key on every bisect comparison."""
+    last = len(cumulative) - 1
+    if not last:
+        return first
+    rest = cumulative[-1] - weight
+    if rest <= 0.0:
+        pick = rng.randrange(last)
+        return pick if pick < first else pick + 1
+    u = rng.random() * rest
+    if first and u < cumulative[first - 1]:
+        return bisect_right(cumulative, u, 0, first)
+    pick = bisect_right(cumulative, u, first + 1, key=lambda c: c - weight)
+    if pick <= last:
+        return pick
+    return last if first != last else last - 1
+
+
+class OneDraw:
+    """Random source whose ``random()`` is one fixed value, for exact boundaries."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
+
+    def randrange(self, n):
+        return int(self.value * n)
+
+
+fitness_floats = (
+    st.floats(0.0, 1e12)
+    | st.floats(0.0, 1e-290)
+    | st.sampled_from([0.0, 5e-324, 1e-300, 0.1, 0.2, 0.3, 1 / 3, 1e12, 1e12 + 0.5])
+)
+
+
+class TestSpinWithoutSearch:
+    @given(st.lists(fitness_floats, min_size=1, max_size=40), st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_picks_match_keyed_search(self, fitnesses, data):
+        cumulative = list(accumulate(fitnesses))
+        first = data.draw(st.integers(0, len(fitnesses) - 1))
+        draw = data.draw(st.floats(0.0, 1.0, exclude_max=True))
+        weight = fitnesses[first]
+        assert _spin_without(cumulative, first, weight, OneDraw(draw)) == keyed_spin_without(
+            cumulative, first, weight, OneDraw(draw)
+        )
+
+    @pytest.mark.parametrize(
+        "fitnesses, first, draw, expected",
+        [
+            # u + weight rounds up onto the next sum, past the slot the exact
+            # test picks, so the search steps back (across the zero slots)
+            ([9.301, 0.1, 6.3], 0, 0.015624999999999941, 1),
+            ([9.301, 0.1, 0.0, 0.0, 6.3], 0, 0.015624999999999941, 1),
+            ([3.6, 1.585, 0.74, 7.4], 0, 0.16298200514138814, 1),
+            ([6.544, 2.379, 1.242, 1.2], 0, 0.7510889856876166, 2),
+            # u + weight rounds down below a sum the exact test rejects, so
+            # the search steps forward
+            ([2.7, 3.8, 4.6, 8.88], 0, 0.486111111111111, 3),
+            ([8.94, 9.75, 9.233, 5.6], 0, 0.7722003010210307, 3),
+            ([2.752, 4.06, 8.86, 2.561], 0, 0.8345714101156256, 3),
+            # the same forward case with a slot ahead of the first parent
+            ([0.0, 2.7, 3.8, 4.6, 8.88], 1, 0.486111111111111, 4),
+        ],
+    )
+    def test_rounded_boundaries_match_keyed_search(self, fitnesses, first, draw, expected):
+        cumulative = list(accumulate(fitnesses))
+        weight = fitnesses[first]
+        u = draw * (cumulative[-1] - weight)
+        pick = bisect_right(cumulative, u + weight, first + 1)
+        assert pick != expected  # the rounded bisection alone would miss
+        assert keyed_spin_without(cumulative, first, weight, OneDraw(draw)) == expected
+        assert _spin_without(cumulative, first, weight, OneDraw(draw)) == expected
+
+
+class LoggingOperator:
+    """Variation stand-in that logs its index and parents to a shared list."""
+
+    def __init__(self, index, arity, rate, log):
+        self.index, self.arity, self.rate, self.log = index, arity, rate, log
+
+    def apply(self, parents, rng):
+        self.log.append((self.index, list(parents)))
+        return parents[0]
+
+
+def oracle_operator_picks(ops, pool, count, rng):
+    """Oracle: one ``choose_operator`` call per offspring, then the linear wheels."""
+    picks = []
+    for _ in range(count):
+        i = choose_operator(ops, rng)
+        picks.append((i, linear_pick_parents(pool, ops[i].arity, rng)))
+    return picks
+
+
+operator_rates = (
+    st.floats(0.0, 1e300, exclude_min=True)
+    | st.integers(1, 10**6)
+    | st.sampled_from([5e-324, 0.1, 0.2, 0.3, 1 / 3])
+)
+
+
+class TestOperatorWheel:
+    @given(
+        st.lists(st.tuples(operator_rates, st.sampled_from([1, 2])), min_size=1, max_size=5),
+        st.lists(st.integers(0, 30), min_size=1, max_size=12),
+        st.integers(1, 12),
+        st.integers(0, 2**32),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_picks_match_choose_operator(self, specs, fitnesses, count, seed):
+        log = []
+        ops = [LoggingOperator(i, arity, rate, log) for i, (rate, arity) in enumerate(specs)]
+        pool = evaluated_pool(fitnesses)
+        rng_oracle, rng_wheel = RandomSource(seed), RandomSource(seed)
+        expected = oracle_operator_picks(ops, pool, count, rng_oracle)
+        _make_offspring(count, pool, EasyStepConfig(0.5, ops), rng_wheel)
+        assert log == expected
+        assert rng_wheel.random() == rng_oracle.random()
+
+    @pytest.mark.parametrize(
+        "rates, draw",
+        [
+            ((1.0, 2.0), 1 / 3),  # u lands exactly on the first running sum
+            ((0.1, 0.2), 0.9999999999999999),
+            # a subnormal total: u rounds up to the total, past every sum
+            ((5e-324, 5e-324), 0.9999999999999999),
+        ],
+    )
+    def test_boundary_draws_match_choose_operator(self, rates, draw):
+        log = []
+        ops = [LoggingOperator(i, 1, rate, log) for i, rate in enumerate(rates)]
+        expected = choose_operator(ops, ScriptedRandom([draw]))
+        _make_offspring(1, evaluated_pool([1, 1]), EasyStepConfig(0.5, ops), ScriptedRandom([draw, 0.0]))
+        assert log[0][0] == expected
+
+    @pytest.mark.parametrize("step", [easy_step, canonical_step])
+    @pytest.mark.parametrize("rate", [0.0, -1.0, math.nan, math.inf])
+    def test_rate_broken_between_steps_raises_before_any_draw(self, step, rate):
+        pop, rng = fresh_population(20, 16, 13)
+        cfg = default_config()
+        stats = RunStats()
+        pop = step(pop, cfg, onemax, rng, stats)
+        cfg.operators[1].rate = rate
+        state = rng._rng.getstate()
+        with pytest.raises(ValueError, match="rate"):
+            step(pop, cfg, onemax, rng, stats)
+        assert rng._rng.getstate() == state
+
+    def test_new_rate_takes_effect_at_next_step(self):
+        log = []
+        ops = [LoggingOperator(0, 1, 1.0, log), LoggingOperator(1, 1, 1.0, log)]
+        pop, rng = fresh_population(40, 16, 14)
+        cfg = EasyStepConfig(0.5, ops)
+        stats = RunStats()
+        pop = easy_step(pop, cfg, onemax, rng, stats)
+        assert {i for i, _ in log} == {0, 1}
+        ops[0].rate = 1e-300
+        log.clear()
+        easy_step(pop, cfg, onemax, rng, stats)
+        assert [i for i, _ in log] == [1] * 20
 
 
 class TestEasyStep:
