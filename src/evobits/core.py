@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -27,6 +28,7 @@ __all__ = [
 ]
 
 _SEED_LIMIT = 2**64
+_MAX_RATE = sys.float_info.max
 
 
 class RandomSource:
@@ -41,17 +43,33 @@ class RandomSource:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
         self.seed = seed
         self._rng = random.Random(seed)
+        # bound once; the public draw methods stay on the class, so that a
+        # subclass overriding one of them (a counting probe) still sees every call
+        self._getrandbits = self._rng.getrandbits
+        self._random = self._rng.random
 
     def random(self) -> float:
         """Uniform real in [0, 1)."""
-        return self._rng.random()
+        return self._random()
 
     def uniform(self, low: float, high: float) -> float:
         """Uniform real in [low, high)."""
-        return low + (high - low) * self._rng.random()
+        return low + (high - low) * self._random()
 
     def randrange(self, n: int) -> int:
-        """Uniform integer in [0, n)."""
+        """Uniform integer in [0, n).
+
+        Draws exactly as ``random.Random.randrange``. A positive int takes the
+        stdlib's ``_randbelow`` inline; any other ``n`` goes to the stdlib.
+        """
+        if type(n) is int and n > 0:
+            # the stdlib's _randbelow(n) redraws getrandbits(n.bit_length())
+            # until it is below n
+            getrandbits, k = self._getrandbits, n.bit_length()
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            return r
         return self._rng.randrange(n)
 
     def sample(self, population: Sequence[int], k: int) -> list[int]:
@@ -63,10 +81,9 @@ class RandomSource:
         """
         if not (type(population) is range and len(population) > 21 and 0 <= k <= 5):
             return self._rng.sample(population, k)
-        # the stdlib's _randbelow(n) redraws getrandbits(n.bit_length()) until
-        # it is below n, and the set path redraws an index already taken
+        # _randbelow as in randrange, and the set path redraws an index already taken
         n = len(population)
-        getrandbits, bits = self._rng.getrandbits, n.bit_length()
+        getrandbits, bits = self._getrandbits, n.bit_length()
         picked: list[int] = []
         for _ in range(k):
             j = getrandbits(bits)
@@ -149,9 +166,10 @@ def _trusted_genome(value: int, length: int) -> BitGenome:
 
 def random_genome(length: int, rng: RandomSource) -> BitGenome:
     """Genome of ``length`` bits, each independently 0 or 1 with p = 0.5, gene 0 first."""
+    randrange = rng.randrange  # still one counted call per gene
     value = 0
     for _ in range(length):
-        value = value << 1 | rng.randrange(2)
+        value = value << 1 | randrange(2)
     return BitGenome(value, length)
 
 
@@ -233,8 +251,7 @@ class BitFlip:
     def __init__(self, flip_count: int = 1, rate: float = 1.0) -> None:
         if flip_count < 1:
             raise ValueError(f"flip_count must be positive, got {flip_count}")
-        if not 0 < rate < math.inf:
-            raise ValueError(f"operator rate must be positive and finite, got {rate}")
+        _check_rate(rate)
         self.flip_count = flip_count
         self.rate = rate
 
@@ -250,8 +267,7 @@ class NPointCrossover:
     def __init__(self, points: int = 2, rate: float = 1.0) -> None:
         if points < 1:
             raise ValueError(f"points must be positive, got {points}")
-        if not 0 < rate < math.inf:
-            raise ValueError(f"operator rate must be positive and finite, got {rate}")
+        _check_rate(rate)
         self.points = points
         self.rate = rate
 
@@ -262,6 +278,16 @@ class NPointCrossover:
 OperatorSpec = Union[BitFlip, NPointCrossover]
 
 
+def _check_rate(rate: float) -> None:
+    """Reject a rate that is not positive or not within the float range.
+
+    An int such as ``10**400`` passes ``rate < math.inf`` but overflows the
+    float sum of the rates, so the bound is the largest float.
+    """
+    if not 0 < rate <= _MAX_RATE:
+        raise ValueError(f"operator rate must be positive and finite as a float, got {rate!r}")
+
+
 def _rate_wheel(ops: Sequence[OperatorSpec]) -> list[float]:
     """Running sums of the rates of one or more operators, each positive,
     to a finite total (the last sum)."""
@@ -270,11 +296,10 @@ def _rate_wheel(ops: Sequence[OperatorSpec]) -> list[float]:
     wheel = []
     total = 0.0
     for op in ops:
-        if op.rate <= 0:
-            raise ValueError(f"operator rate must be positive, got {op.rate}")
+        _check_rate(op.rate)  # again here: a rate may be changed between steps
         total += op.rate
         wheel.append(total)
-    # an infinite or NaN total would send every draw to the last operator
+    # a total that overflows to inf would send every draw to the last operator
     if not math.isfinite(total):
         raise ValueError(f"operator rates must sum to a finite total, got {total}")
     return wheel

@@ -4,6 +4,8 @@ import dataclasses
 import itertools
 import math
 import random
+import sys
+import warnings
 
 import pytest
 from hypothesis import example, given, settings
@@ -80,6 +82,51 @@ class TestRandomSource:
     def test_sample_size_outside_population_rejected(self, k):
         with pytest.raises(ValueError):
             RandomSource(0).sample(range(40), k)
+
+    @given(st.integers(1, 2**70), st.integers(0, 2**64 - 1))
+    @example(1, 0)
+    @example(2, 0)
+    @example(3, 0)  # redraws whenever getrandbits(2) is 3
+    @example(2**70, 1)
+    @example(2**70 + 1, 1)
+    @settings(max_examples=500, deadline=None)
+    def test_randrange_draws_as_the_stdlib(self, n, seed):
+        oracle = random.Random(seed)
+        rng = RandomSource(seed)
+        assert [rng.randrange(n) for _ in range(4)] == [oracle.randrange(n) for _ in range(4)]
+        assert rng.random() == oracle.random()
+
+    def test_randrange_draws_as_the_stdlib_around_powers_of_two(self):
+        # 2**k and 2**k + 1 redraw about half the time, 2**k - 1 seldom
+        for n in {2**k + d for k in range(71) for d in (-1, 0, 1)} - {0}:
+            for seed in range(20):
+                oracle = random.Random(seed)
+                rng = RandomSource(seed)
+                assert [rng.randrange(n) for _ in range(5)] == [
+                    oracle.randrange(n) for _ in range(5)
+                ]
+                assert rng.random() == oracle.random()
+
+    @pytest.mark.parametrize(
+        "n",
+        [0, -1, True, False, 3.0, 2.5, "3", None],
+        ids=["zero", "negative", "true", "false", "float_3", "float_2.5", "str", "none"],
+    )
+    def test_randrange_off_the_inline_path_behaves_as_the_stdlib(self, n):
+        def outcome(randrange):
+            # the same value or exception type, with the same warnings
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    result = randrange(n)
+                except Exception as exc:
+                    result = type(exc)
+            return result, [w.category for w in caught]
+
+        oracle = random.Random(3)
+        rng = RandomSource(3)
+        assert outcome(rng.randrange) == outcome(oracle.randrange)
+        assert rng.random() == oracle.random()
 
 
 class TestBitGenome:
@@ -159,6 +206,16 @@ class TestRandomGenome:
     def test_zero_length_rejected(self):
         with pytest.raises(ValueError):
             random_genome(0, RandomSource(0))
+
+    @given(st.integers(1, 300), st.integers(0, 2**64 - 1))
+    @example(1, 0)
+    @settings(max_examples=200, deadline=None)
+    def test_draws_as_the_stdlib(self, length, seed):
+        oracle = random.Random(seed)
+        rng = RandomSource(seed)
+        expected = BitGenome.from_bits([oracle.randrange(2) for _ in range(length)])
+        assert random_genome(length, rng) == expected
+        assert rng.random() == oracle.random()
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_ones_fraction_near_half(self, seed):
@@ -331,7 +388,9 @@ class TestChooseOperator:
             choose_operator(ops, RandomSource(0))
 
     @pytest.mark.parametrize(
-        "rates", [(math.inf, 1.0), (math.nan, 1.0), (1e308, 1e308)]
+        "rates",
+        [(math.inf, 1.0), (math.nan, 1.0), (1e308, 1e308),
+         pytest.param((10**400, 1.0), id="int_past_float_range-1.0")],
     )
     def test_non_finite_rate_sum_rejected_before_drawing(self, rates):
         ops = [BitFlip(), NPointCrossover()]
@@ -392,9 +451,19 @@ class TestOperatorSpecs:
         with pytest.raises(ValueError, match=f"{message} must be positive"):
             make()
 
-    @pytest.mark.parametrize("rate", [math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "rate",
+        [math.inf, math.nan,
+         pytest.param(10**400, id="int_10**400"),
+         pytest.param(int(sys.float_info.max) + 1, id="int_just_past_max_float")],
+    )
     def test_rejects_non_finite_rate(self, rate):
         with pytest.raises(ValueError):
             BitFlip(rate=rate)
         with pytest.raises(ValueError):
             NPointCrossover(rate=rate)
+
+    @pytest.mark.parametrize("rate", [sys.float_info.max, int(sys.float_info.max), 10**300, 3])
+    def test_accepts_every_rate_in_the_float_range(self, rate):
+        assert BitFlip(rate=rate).rate == rate
+        assert NPointCrossover(rate=rate).rate == rate

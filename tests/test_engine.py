@@ -59,6 +59,67 @@ def default_config(operators=None):
     return EasyStepConfig(selection_rate=0.2, operators=operators)
 
 
+class CountingRandomSource(RandomSource):
+    """Counts calls to each public draw method, as a profiling subclass would."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.calls = {}
+
+    def _count(self, name):
+        self.calls[name] = self.calls.get(name, 0) + 1
+
+    def random(self):
+        self._count("random")
+        return super().random()
+
+    def randrange(self, n):
+        self._count("randrange")
+        return super().randrange(n)
+
+    def sample(self, population, k):
+        self._count("sample")
+        return super().sample(population, k)
+
+
+class TestDrawCountingContract:
+    """A subclass overriding the public draw methods sees every draw.
+
+    Benchmarks count draws this way, so the counts below are those of the
+    plain stdlib calls, and the counted run breeds the same genomes.
+    """
+
+    def test_draw_methods_stay_on_the_class(self):
+        # an instance attribute would shadow a subclass's override
+        bound = vars(RandomSource(0)).keys()
+        assert not {"random", "uniform", "randrange", "sample"} & bound
+
+    def test_one_randrange_call_per_gene(self):
+        rng = CountingRandomSource(4)
+        random_genome(77, rng)
+        assert rng.calls == {"randrange": 77}
+
+    @pytest.mark.parametrize(
+        "step, calls",
+        [(easy_step, {"random": 113, "sample": 39}),
+         (canonical_step, {"random": 446, "sample": 153})],
+        ids=["easy_step", "canonical_step"],
+    )
+    def test_step_counts_and_genomes(self, step, calls):
+        def three_steps(rng):
+            pop = [Individual(random_genome(32, rng)) for _ in range(64)]
+            stats = RunStats()
+            for _ in range(3):
+                pop = step(pop, default_config(), onemax, rng, stats)
+            return [ind.genome for ind in pop]
+
+        counted = CountingRandomSource(7)
+        assert three_steps(counted) == three_steps(RandomSource(7))
+        # one sample per offspring (3 steps of 13 or 51), one random to pick
+        # its operator and one or two to pick its parents
+        assert counted.calls == {"randrange": 64 * 32, **calls}
+
+
 class TestEvaluatePopulation:
     def test_fresh_population_evaluates_everyone(self):
         pop, _ = fresh_population(64, 16, 1)
@@ -373,7 +434,9 @@ class TestOperatorWheel:
         assert log[0][0] == expected
 
     @pytest.mark.parametrize("step", [easy_step, canonical_step])
-    @pytest.mark.parametrize("rate", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "rate", [0.0, -1.0, math.nan, math.inf, pytest.param(10**400, id="int_10**400")]
+    )
     def test_rate_broken_between_steps_raises_before_any_draw(self, step, rate):
         pop, rng = fresh_population(20, 16, 13)
         cfg = default_config()
@@ -489,6 +552,12 @@ class TestEasyStep:
     def test_step_config_rejects_unusable_operators(self, operators):
         with pytest.raises(ValueError):
             EasyStepConfig(selection_rate=0.2, operators=operators)
+
+    def test_step_config_rejects_a_rate_past_the_float_range(self):
+        op = BitFlip()
+        op.rate = 10**400  # would overflow the float sum of the rates
+        with pytest.raises(ValueError, match="rate"):
+            EasyStepConfig(selection_rate=0.2, operators=[op])
 
 
 class TestCanonicalStep:
