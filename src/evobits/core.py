@@ -28,7 +28,7 @@ __all__ = [
 ]
 
 _SEED_LIMIT = 2**64
-_MAX_RATE = sys.float_info.max
+_MAX_FLOAT = sys.float_info.max
 
 
 class RandomSource:
@@ -81,16 +81,17 @@ class RandomSource:
         """
         if not (type(population) is range and len(population) > 21 and 0 <= k <= 5):
             return self._rng.sample(population, k)
-        # _randbelow as in randrange, and the set path redraws an index already taken
+        # _randbelow as in randrange, and the set path redraws an index already
+        # taken; a range's items are distinct, so testing the item redraws alike
         n = len(population)
         getrandbits, bits = self._getrandbits, n.bit_length()
         picked: list[int] = []
         for _ in range(k):
             j = getrandbits(bits)
-            while j >= n or j in picked:
+            while j >= n or population[j] in picked:
                 j = getrandbits(bits)
-            picked.append(j)
-        return [population[j] for j in picked]
+            picked.append(population[j])
+        return picked
 
     def __repr__(self) -> str:
         return f"RandomSource(seed={self.seed})"
@@ -249,8 +250,7 @@ class BitFlip:
     arity = 1
 
     def __init__(self, flip_count: int = 1, rate: float = 1.0) -> None:
-        if flip_count < 1:
-            raise ValueError(f"flip_count must be positive, got {flip_count}")
+        _check_count("flip_count", flip_count)
         _check_rate(rate)
         self.flip_count = flip_count
         self.rate = rate
@@ -265,8 +265,7 @@ class NPointCrossover:
     arity = 2
 
     def __init__(self, points: int = 2, rate: float = 1.0) -> None:
-        if points < 1:
-            raise ValueError(f"points must be positive, got {points}")
+        _check_count("points", points)
         _check_rate(rate)
         self.points = points
         self.rate = rate
@@ -278,13 +277,25 @@ class NPointCrossover:
 OperatorSpec = Union[BitFlip, NPointCrossover]
 
 
+def _check_count(name: str, value: int, minimum: int = 1) -> None:
+    """Reject a size that is not an int of at least ``minimum``.
+
+    A float such as 2.5, 8.0 or NaN can pass a plain comparison, then fail far
+    from here in list or bit arithmetic (or, as a generation limit, never be
+    reached); a bool is refused too.
+    """
+    if not (type(value) is int and value >= minimum):
+        bound = "positive" if minimum == 1 else f"at least {minimum}"
+        raise ValueError(f"{name} must be {bound} and an int, got {value!r}")
+
+
 def _check_rate(rate: float) -> None:
     """Reject a rate that is not positive or not within the float range.
 
     An int such as ``10**400`` passes ``rate < math.inf`` but overflows the
     float sum of the rates, so the bound is the largest float.
     """
-    if not 0 < rate <= _MAX_RATE:
+    if not 0 < rate <= _MAX_FLOAT:
         raise ValueError(f"operator rate must be positive and finite as a float, got {rate!r}")
 
 

@@ -13,9 +13,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from numbers import Real
+from operator import attrgetter
 from typing import Callable, Sequence, Union
 
-from .core import BitGenome, OperatorSpec, RandomSource, _rate_wheel
+from .core import BitGenome, OperatorSpec, RandomSource, _MAX_FLOAT, _check_count, _rate_wheel
 
 __all__ = [
     "EasyStepConfig",
@@ -44,7 +45,7 @@ class EvaluationError(Exception):
     """A fitness function failed or returned an unusable value."""
 
 
-@dataclass
+@dataclass(slots=True)
 class Individual:
     """One candidate solution: a genome plus its cached fitness.
 
@@ -57,6 +58,10 @@ class Individual:
 
     def copy(self) -> "Individual":
         return Individual(self.genome, self.fitness)
+
+
+# the sort key and the wheel's sums read fitness in C, without a Python frame
+_fitness_of = attrgetter("fitness")
 
 
 class EasyStepConfig:
@@ -79,8 +84,7 @@ class MaxGenerations:
     """Stop once the given number of generation steps has been executed."""
 
     def __init__(self, limit: int) -> None:
-        if limit < 1:
-            raise ValueError(f"generation limit must be positive, got {limit}")
+        _check_count("generation limit", limit)
         self.limit = limit
 
     def should_stop(self, generations_executed: int, best_fitness: float) -> bool:
@@ -91,9 +95,11 @@ class TargetFitness:
     """Stop once the best fitness reaches the target."""
 
     def __init__(self, target: float) -> None:
-        # NaN or +inf can never be reached, and -inf is met by any population
-        if not math.isfinite(target):
-            raise ValueError(f"target fitness must be finite, got {target}")
+        # NaN or a value past the float range can never be reached (an int
+        # such as 10**400 too), and one below it is met by any population;
+        # the comparisons are exact for ints, where math.isfinite overflows
+        if not -_MAX_FLOAT <= target <= _MAX_FLOAT:
+            raise ValueError(f"target fitness must be finite as a float, got {target!r}")
         self.target = target
 
     def should_stop(self, generations_executed: int, best_fitness: float) -> bool:
@@ -165,7 +171,7 @@ def evaluate_population(
 
 def sort_by_fitness(pop: Sequence[Individual]) -> list[Individual]:
     """Population sorted best-first; ties keep their original order."""
-    return sorted(pop, key=lambda ind: ind.fitness, reverse=True)
+    return sorted(pop, key=_fitness_of, reverse=True)
 
 
 def turnover_count(selection_rate: float, size: int) -> int:
@@ -177,18 +183,6 @@ def turnover_count(selection_rate: float, size: int) -> int:
             f"selection_rate {selection_rate} rounds to the whole population of {size}"
         )
     return count
-
-
-def _spin(cumulative: Sequence[float], rng: RandomSource) -> int:
-    """Roulette index drawn from the pool's running fitness sums.
-
-    An all-zero pool falls back to a uniform choice; a draw that rounds up to
-    the total lands on the last slot.
-    """
-    total = cumulative[-1]
-    if total <= 0.0:
-        return rng.randrange(len(cumulative))
-    return min(bisect_right(cumulative, rng.random() * total), len(cumulative) - 1)
 
 
 def _spin_without(
@@ -236,11 +230,19 @@ def _make_offspring(
     ops = cfg.operators
     op_wheel = _rate_wheel(ops)
     op_total, last_op = op_wheel[-1], len(ops) - 1
-    cumulative = list(accumulate(ind.fitness for ind in parent_pool))
+    cumulative = list(accumulate(map(_fitness_of, parent_pool)))
+    total, last = cumulative[-1], len(cumulative) - 1
+    # looked up on rng's class, so a subclass overriding random() sees every draw
+    random = rng.random
     offspring = []
     for _ in range(count):
-        op = ops[min(bisect_right(op_wheel, op_total * rng.random()), last_op)]
-        first = _spin(cumulative, rng)
+        op = ops[min(bisect_right(op_wheel, op_total * random()), last_op)]
+        # first parent by roulette: an all-zero pool falls back to a uniform
+        # choice, and a draw that rounds up to the total lands on the last slot
+        if total > 0.0:
+            first = min(bisect_right(cumulative, random() * total), last)
+        else:
+            first = rng.randrange(last + 1)
         parents = [parent_pool[first].genome]
         if op.arity != 1:
             second = _spin_without(cumulative, first, parent_pool[first].fitness, rng)
@@ -327,7 +329,10 @@ class Evolution:
 
     def _should_stop(self) -> bool:
         executed, best = self.stats.generations_executed, self.pop[0].fitness
-        return any(t.should_stop(executed, best) for t in self.terminators)
+        for terminator in self.terminators:
+            if terminator.should_stop(executed, best):
+                return True
+        return False
 
     def advance(self) -> None:
         """Execute and record one generation step."""

@@ -15,7 +15,7 @@ from collections import deque
 from enum import Enum
 from typing import Sequence
 
-from .core import BitGenome, RandomSource, hamming, random_genome
+from .core import BitGenome, RandomSource, _check_count, hamming, random_genome
 from .engine import (
     EasyStepConfig,
     Evolution,
@@ -89,10 +89,8 @@ class IslandConfig:
             raise ValueError(f"island {alias!r} lists itself as a peer")
         if len(set(peers)) != len(peers):
             raise ValueError(f"island {alias!r} has duplicate peers")
-        if pop_size < 2:
-            raise ValueError(f"pop_size must be at least 2, got {pop_size}")
-        if genome_length < 1:
-            raise ValueError(f"genome_length must be positive, got {genome_length}")
+        _check_count("pop_size", pop_size, 2)
+        _check_count("genome_length", genome_length)
         self.alias, self.peers, self.fitness = alias, peers, fitness
         self.pop_size, self.genome_length = pop_size, genome_length
         self.step_config, self.step = step_config, step

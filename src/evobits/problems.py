@@ -197,15 +197,17 @@ class DotProblemConfig:
 
     def __init__(self, num_rects: int = 25, arena_side: float = 10.0, bits: int = 32) -> None:
         # a generated arena holds num_rects + 1 rectangles
-        if not 1 <= num_rects < MAX_RECTANGLES:
-            raise ValueError(f"num_rects must be in [1, {MAX_RECTANGLES - 1}], got {num_rects}")
+        if not (type(num_rects) is int and 1 <= num_rects < MAX_RECTANGLES):
+            raise ValueError(
+                f"num_rects must be an int in [1, {MAX_RECTANGLES - 1}], got {num_rects!r}"
+            )
         # generated rectangles reach up to twice the side, which must stay finite
         if not 0 < 2 * arena_side < math.inf:
             raise ValueError(
                 f"arena_side must be positive and finite when doubled, got {arena_side}"
             )
-        if bits < 2 or bits % 2 != 0:
-            raise ValueError(f"bits must be even and at least 2, got {bits}")
+        if not (type(bits) is int and bits >= 2 and bits % 2 == 0):
+            raise ValueError(f"bits must be an even int of at least 2, got {bits!r}")
         self.num_rects = num_rects
         self.arena_side = arena_side
         self.bits = bits

@@ -61,6 +61,26 @@ class TestRandomSource:
         assert rng.sample(range(n), k) == oracle.sample(range(n), k)
         assert rng.random() == oracle.random()
 
+    @given(
+        st.integers(-1000, 1000),
+        st.integers(-9, 9).filter(bool),
+        st.integers(22, 300),
+        st.integers(0, 5),
+        st.integers(0, 2**64 - 1),
+    )
+    @example(7, 1, 22, 5, 0)  # start other than 0
+    @example(0, 3, 300, 5, 1)  # step above 1
+    @example(299, -1, 300, 5, 2)  # negative step
+    @example(-50, -7, 22, 5, 3)
+    @settings(max_examples=300, deadline=None)
+    def test_sample_draws_as_the_stdlib_on_any_range(self, start, step, n, k, seed):
+        population = range(start, start + n * step, step)
+        assert len(population) == n
+        oracle = random.Random(seed)
+        rng = RandomSource(seed)
+        assert rng.sample(population, k) == oracle.sample(population, k)
+        assert rng.random() == oracle.random()
+
     @pytest.mark.parametrize("n", [20, 21, 22, 23])
     def test_sample_draws_as_the_stdlib_at_the_path_boundary(self, n):
         for k in range(9):
@@ -450,6 +470,14 @@ class TestOperatorSpecs:
     def test_rejects_non_positive_count(self, make, message):
         with pytest.raises(ValueError, match=f"{message} must be positive"):
             make()
+
+    @pytest.mark.parametrize("count", [1.5, 2.0, math.nan, math.inf, True, "2"])
+    def test_rejects_a_count_that_is_not_an_int(self, count):
+        # a float would pass a plain comparison, then fail at the first step
+        with pytest.raises(ValueError, match="flip_count must be positive and an int"):
+            BitFlip(flip_count=count)
+        with pytest.raises(ValueError, match="points must be positive and an int"):
+            NPointCrossover(points=count)
 
     @pytest.mark.parametrize(
         "rate",

@@ -1,6 +1,7 @@
 """Tests for evaluation caching, generation steps, terminators, and the run loop."""
 
 import math
+import sys
 from bisect import bisect_right
 from itertools import accumulate
 
@@ -118,6 +119,33 @@ class TestDrawCountingContract:
         # one sample per offspring (3 steps of 13 or 51), one random to pick
         # its operator and one or two to pick its parents
         assert counted.calls == {"randrange": 64 * 32, **calls}
+
+
+class TestIndividual:
+    def test_slotted_without_an_instance_dict(self):
+        ind = Individual(BitGenome.from_string("1010"), 2.0)
+        assert not hasattr(ind, "__dict__")
+        with pytest.raises(AttributeError):
+            ind.age = 1
+
+    def test_copy_is_equal_and_independent(self):
+        ind = Individual(BitGenome.from_string("1010"), 2.0)
+        twin = ind.copy()
+        assert twin == ind and twin is not ind
+        twin.fitness = 3.0
+        assert ind.fitness == 2.0
+        assert Individual(ind.genome).copy() == Individual(ind.genome, None)
+
+
+class TestSortByFitness:
+    @given(st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.5, 1e300, 5e-324]), max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_ties_keep_their_order(self, fitnesses):
+        pop = evaluated_pool(fitnesses)
+        expected = sorted(pop, key=lambda i: i.fitness, reverse=True)
+        ranked = sort_by_fitness(pop)
+        assert len(ranked) == len(expected)
+        assert all(a is b for a, b in zip(ranked, expected))
 
 
 class TestEvaluatePopulation:
@@ -370,6 +398,76 @@ class TestSpinWithoutSearch:
         assert pick != expected  # the rounded bisection alone would miss
         assert keyed_spin_without(cumulative, first, weight, OneDraw(draw)) == expected
         assert _spin_without(cumulative, first, weight, OneDraw(draw)) == expected
+
+
+def spin(cumulative, rng):
+    """Oracle: the first roulette pick as a function of the running sums alone.
+
+    An all-zero pool falls back to a uniform choice; a draw that rounds up to
+    the total lands on the last slot.
+    """
+    total = cumulative[-1]
+    if total <= 0.0:
+        return rng.randrange(len(cumulative))
+    return min(bisect_right(cumulative, rng.random() * total), len(cumulative) - 1)
+
+
+class ReplayedDraws:
+    """Random source replaying fixed values; ``randrange(n)`` scales one onto [0, n)."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self):
+        return self.values.pop(0)
+
+    def randrange(self, n):
+        return min(int(self.values.pop(0) * n), n - 1)
+
+
+unit_draws = st.floats(0.0, 1.0, exclude_max=True) | st.just(0.9999999999999999)
+
+
+class TestFirstPick:
+    """The step's inline first pick picks as :func:`spin` does on the same draws."""
+
+    @staticmethod
+    def picks(fitnesses, draws):
+        # one operator: each offspring draws for it (0.5 here), then its parent
+        script = [d for draw in draws for d in (0.5, draw)]
+        op = RecordingOperator(1)
+        _make_offspring(len(draws), evaluated_pool(fitnesses), EasyStepConfig(0.5, [op]),
+                        ReplayedDraws(script))
+        cumulative = list(accumulate(fitnesses))
+        oracle = ReplayedDraws(draws)
+        expected = [f"{spin(cumulative, oracle):08b}" for _ in draws]
+        return [str(parents[0]) for parents in op.parents], expected
+
+    @given(st.lists(fitness_floats, min_size=1, max_size=40),
+           st.lists(unit_draws, min_size=1, max_size=8))
+    @example([0.0, 0.0, 0.0], [0.0, 0.5, 0.9999999999999999])  # all-zero pool
+    @example([0.0], [0.3])
+    @settings(max_examples=500, deadline=None)
+    def test_picks_match_spin(self, fitnesses, draws):
+        picked, expected = self.picks(fitnesses, draws)
+        assert picked == expected
+
+    @pytest.mark.parametrize(
+        "fitnesses, draw, expected",
+        [
+            ([0.0, 0.0, 0.0, 0.0], 0.6, 2),  # all zero: uniform over the slots
+            ([5e-324, 0.0], 0.75, 1),  # u rounds up to the total: the last slot
+            ([1e-323, 5e-324, 0.0, 0.0], 0.9, 3),
+            ([1.0, 2.0, 0.0], 1 / 3, 1),  # u lands exactly on the first sum
+        ],
+    )
+    def test_boundary_draws_match_spin(self, fitnesses, draw, expected):
+        cumulative = list(accumulate(fitnesses))
+        if cumulative[-1] > 0.0 and expected == len(fitnesses) - 1:
+            # the clamp is what picks the last slot here
+            assert bisect_right(cumulative, draw * cumulative[-1]) == len(fitnesses)
+        picked, oracle = self.picks(fitnesses, [draw])
+        assert picked == oracle == [f"{expected:08b}"]
 
 
 class LoggingOperator:
@@ -687,7 +785,12 @@ class TestRun:
             values = [best for _, best in stats.best_per_generation]
             assert values == sorted(values)
 
-    @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "target",
+        [math.nan, math.inf, -math.inf,
+         pytest.param(10**400, id="int_10**400"), pytest.param(-(10**400), id="int_-10**400"),
+         pytest.param(int(sys.float_info.max) + 1, id="int_just_past_max_float")],
+    )
     def test_target_must_be_finite(self, target):
         with pytest.raises(ValueError):
             TargetFitness(target)
@@ -695,3 +798,13 @@ class TestRun:
     def test_terminator_validation(self):
         with pytest.raises(ValueError):
             MaxGenerations(0)
+
+    # NaN would never be reached, so a run with it would never return
+    @pytest.mark.parametrize("limit", [math.nan, 2.5, 3.0, math.inf, True, "3", -1])
+    def test_generation_limit_must_be_a_positive_int(self, limit):
+        with pytest.raises(ValueError, match="generation limit must be positive and an int"):
+            MaxGenerations(limit)
+
+    @pytest.mark.parametrize("target", [sys.float_info.max, int(sys.float_info.max), 10**300, 0])
+    def test_target_in_the_float_range_accepted(self, target):
+        assert TargetFitness(target).target == target

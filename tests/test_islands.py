@@ -182,8 +182,12 @@ class TestIslandConfig:
             ("", {}, "alias must not be empty"),
             ("a", {"pop_size": 1}, "pop_size must be at least 2"),
             ("a", {"length": 0}, "genome_length must be positive"),
+            ("a", {"pop_size": 2.5}, "pop_size must be at least 2 and an int"),
+            ("a", {"length": 8.0}, "genome_length must be positive and an int"),
+            ("a", {"length": math.nan}, "genome_length must be positive and an int"),
         ],
-        ids=["empty_alias", "pop_size_1", "genome_length_0"],
+        ids=["empty_alias", "pop_size_1", "genome_length_0", "pop_size_2.5",
+             "genome_length_8.0", "genome_length_nan"],
     )
     def test_unusable_value_rejected(self, alias, kwargs, message):
         with pytest.raises(ValueError, match=message):

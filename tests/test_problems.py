@@ -219,6 +219,15 @@ class TestDotFitness:
         with pytest.raises(ValueError, match="num_rects"):
             DotProblemConfig(num_rects=MAX_RECTANGLES)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("num_rects", 2.5), ("num_rects", 3.0), ("num_rects", math.nan), ("num_rects", True),
+         ("bits", 4.0), ("bits", 3.5), ("bits", math.nan)],
+    )
+    def test_sizes_must_be_ints(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an"):
+            DotProblemConfig(**{field: value})
+
     # 1e308: a generated rectangle's far corner, up to twice the side, overflows
     @pytest.mark.parametrize("side", [0.0, math.inf, math.nan, 1e308])
     def test_arena_side_must_be_positive_and_finite(self, side):
