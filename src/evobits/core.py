@@ -1,4 +1,5 @@
-"""Bitstring genomes, variation operators, and seeded randomness.
+"""Bitstring genomes, variation operators, seeded randomness, and the
+whole-genome bit counts: Hamming distance, OneMax and Royal Road.
 
 Everything here is a pure function of its arguments plus an explicit
 :class:`RandomSource`, so identical seeds reproduce identical results.
@@ -9,7 +10,6 @@ from __future__ import annotations
 import math
 import random
 import sys
-from dataclasses import dataclass
 from typing import Sequence, Union
 
 __all__ = [
@@ -24,7 +24,9 @@ __all__ = [
     "derived_seed",
     "hamming",
     "n_point_crossover",
+    "onemax",
     "random_genome",
+    "royal_road",
 ]
 
 _SEED_LIMIT = 2**64
@@ -102,24 +104,56 @@ def derived_seed(seed: int, offset: int) -> int:
     return (seed + offset) % _SEED_LIMIT
 
 
-@dataclass(frozen=True, slots=True)
 class BitGenome:
     """Fixed-length vector of 0/1 genes, held as one int.
 
     Gene 0 is the most significant of ``length`` bits, so
     ``str(genome) == format(value, f"0{length}b")``.
+
+    Frozen and slotted, with the equality, hash, repr and match arguments of
+    a frozen dataclass, written out so that importing this module generates
+    no code.
     """
 
+    __slots__ = ("value", "length")
+    __match_args__ = ("value", "length")
     value: int
     length: int
 
-    def __post_init__(self) -> None:
-        value, length = self.value, self.length
+    def __init__(self, value: int, length: int) -> None:
         if not (type(value) is type(length) is int and length >= 1 and 0 <= value < 1 << length):
             raise ValueError(
                 f"genome needs int length >= 1 and int value in [0, 2**length), "
                 f"got value {value!r}, length {length!r}"
             )
+        _set_value(self, value)
+        _set_length(self, length)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.value, self.length) == (other.value, other.length)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.length))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(value={self.value!r}, length={self.length!r})"
+
+    def __reduce__(self) -> tuple:
+        # copy, deepcopy and pickle rebuild through the checked constructor;
+        # the default path would set the slots through the frozen __setattr__
+        return type(self), (self.value, self.length)
 
     @classmethod
     def from_bits(cls, bits: Sequence[int]) -> "BitGenome":
@@ -156,7 +190,7 @@ _set_length = BitGenome.length.__set__
 def _trusted_genome(value: int, length: int) -> BitGenome:
     """Genome the operators built themselves, in range by construction.
 
-    The slot setters skip ``__post_init__``'s check, which stays on the
+    The slot setters skip the range check, which stays on the
     public constructor as the input boundary; the result is still frozen.
     """
     genome = _new_object(BitGenome)
@@ -242,6 +276,25 @@ def hamming(a: BitGenome, b: BitGenome) -> int:
     if a.length != b.length:
         raise ValueError(f"genome lengths differ: {a.length} vs {b.length}")
     return (a.value ^ b.value).bit_count()
+
+
+def onemax(genome: BitGenome) -> int:
+    """Number of 1-bits."""
+    return genome.value.bit_count()
+
+
+def royal_road(genome: BitGenome, block_size: int = 4) -> int:
+    """Number of disjoint consecutive all-ones blocks of ``block_size`` bits."""
+    if block_size < 1:
+        raise ValueError(f"block_size must be positive, got {block_size}")
+    if genome.length % block_size != 0:
+        raise ValueError(
+            f"block_size {block_size} does not divide genome length {genome.length}"
+        )
+    value, block = genome.value, (1 << block_size) - 1
+    return sum(
+        value >> shift & block == block for shift in range(0, genome.length, block_size)
+    )
 
 
 class BitFlip:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import time
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate
 from numbers import Real
 from operator import attrgetter
@@ -45,16 +44,31 @@ class EvaluationError(Exception):
     """A fitness function failed or returned an unusable value."""
 
 
-@dataclass(slots=True)
 class Individual:
     """One candidate solution: a genome plus its cached fitness.
 
     ``fitness`` is None until evaluated; variation operators always produce
     individuals with fitness unset so the cache can never go stale.
+
+    Slotted, with the equality, repr and match arguments of a dataclass and
+    no hash, written out so that importing this module generates no code.
     """
 
-    genome: BitGenome
-    fitness: float | None = None
+    __slots__ = ("genome", "fitness")
+    __match_args__ = ("genome", "fitness")
+    __hash__ = None  # mutable, so unhashable
+
+    def __init__(self, genome: BitGenome, fitness: float | None = None) -> None:
+        self.genome = genome
+        self.fitness = fitness
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.genome, self.fitness) == (other.genome, other.fitness)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(genome={self.genome!r}, fitness={self.fitness!r})"
 
     def copy(self) -> "Individual":
         return Individual(self.genome, self.fitness)

@@ -1,5 +1,9 @@
 """Bundled fitness problems: dot-in-rectangles, OneMax, and Royal Road.
 
+OneMax and Royal Road are whole-genome bit counts defined in
+:mod:`evobits.core`, so that a run of either never loads this module; they
+are re-exported here.
+
 The rectangle arena answers point-stabbing queries two ways: a bitset index
 built once per arena, used by the fitness function, and a brute-force path
 through ``Rectangle.contains`` kept as an independent oracle. Both must return
@@ -24,7 +28,7 @@ from itertools import compress
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .core import BitGenome, RandomSource, decode
+from .core import BitGenome, RandomSource, decode, onemax, royal_road
 from .engine import FitnessFunction
 
 __all__ = [
@@ -169,13 +173,21 @@ class RectangleArena:
 
 def save_arena(arena: RectangleArena, path: str | Path) -> None:
     """Write ``arena`` to ``path`` whole or not at all: through a sibling
-    temporary file that replaces ``path`` once it is complete."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    temporary file that replaces ``path`` once it is complete.
+
+    A failure raises an OSError that names ``path``, not the temporary file.
+    """
+    target = Path(path)
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "x") as out:
             out.writelines(line + "\n" for line in arena.to_lines())
-        os.replace(tmp, path)
+        os.replace(tmp, target)
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        # the same error subclass, from the errno
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
     finally:
         tmp.unlink(missing_ok=True)
 
@@ -249,25 +261,6 @@ def dot_fitness(cfg: DotProblemConfig, arena: RectangleArena) -> FitnessFunction
         return float(len(arena.rectangles_containing_dot(x, y)))
 
     return fitness
-
-
-def onemax(genome: BitGenome) -> int:
-    """Number of 1-bits."""
-    return genome.value.bit_count()
-
-
-def royal_road(genome: BitGenome, block_size: int = 4) -> int:
-    """Number of disjoint consecutive all-ones blocks of ``block_size`` bits."""
-    if block_size < 1:
-        raise ValueError(f"block_size must be positive, got {block_size}")
-    if genome.length % block_size != 0:
-        raise ValueError(
-            f"block_size {block_size} does not divide genome length {genome.length}"
-        )
-    value, block = genome.value, (1 << block_size) - 1
-    return sum(
-        value >> shift & block == block for shift in range(0, genome.length, block_size)
-    )
 
 
 def grid_oracle(

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import json
 import os
 import re
 import subprocess
@@ -338,6 +339,18 @@ class TestRunCommand:
         (line,) = err.splitlines()
         assert line.startswith(f"error: {arena_path}: ") and f"at most {MAX_RECTANGLES}" in line
 
+    def test_unwritable_arena_file_error_names_the_given_path(self, tmp_path, capsys):
+        arena_path = tmp_path / "missing-dir" / "arena.txt"
+        code, out, err = run_cli(
+            ["run", "--problem", "dot", "--arena-file", str(arena_path)], capsys
+        )
+        assert code == 1
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("error: ") and str(arena_path) in line
+        assert ".tmp" not in line
+        assert list(tmp_path.rglob("*")) == []
+
     def test_arena_file_matches_generated_arena(self, tmp_path, capsys):
         # pinning the arena to a file must not change the run itself
         arena_path = tmp_path / "arena.txt"
@@ -478,6 +491,77 @@ class TestEntryPoint:
         assert proc.stdout == ""
         (line,) = proc.stderr.splitlines()
         assert line.startswith("error: ") and "bits" in line
+
+
+# what ``from evobits import *`` bound when the package imported every submodule
+_STAR_NAMES = [
+    "Archipelago", "BitFlip", "BitGenome", "DotProblemConfig", "EasyStepConfig",
+    "EvaluationError", "FitnessFunction", "Individual", "IslandConfig", "MaxGenerations",
+    "MigrantMessage", "MigrationPolicy", "NPointCrossover", "OperatorSpec", "RandomSource",
+    "Rectangle", "RectangleArena", "RunStats", "TargetFitness", "Terminator", "bitflip",
+    "canonical_step", "choose_operator", "consensus_genome", "core", "decode", "dot_fitness",
+    "easy_step", "engine", "evaluate_population", "generate_random_arena", "grid_oracle",
+    "hamming", "integrate_migrant", "islands", "load_arena", "n_point_crossover", "onemax",
+    "problems", "random_genome", "royal_road", "run", "run_archipelago", "save_arena",
+    "select_migrant", "sort_by_fitness",
+]
+_DOT_NAMES = [
+    "DotProblemConfig", "Rectangle", "RectangleArena", "dot_fitness",
+    "generate_random_arena", "grid_oracle", "load_arena", "save_arena",
+]
+
+# run in a fresh interpreter, so that no other test has loaded a module yet
+_LAZY_IMPORT_PROBE = """
+import json, sys
+import evobits
+loaded = [name for name in ("evobits.problems", "dataclasses") if name in sys.modules]
+listed = sorted(set(dir(evobits)) & set(DOT_NAMES))
+values = [getattr(evobits, name) for name in DOT_NAMES]
+problems = sys.modules["evobits.problems"]
+try:
+    evobits.no_such_name
+    missing = "no error"
+except AttributeError as exc:
+    missing = str(exc)
+print(json.dumps({
+    "loaded_by_import": loaded,
+    "listed_before_use": listed,
+    "same_objects": [value is getattr(problems, name) for name, value in zip(DOT_NAMES, values)],
+    "missing": missing,
+    "onemax": evobits.onemax is evobits.problems.onemax is evobits.core.onemax,
+}))
+"""
+
+_STAR_IMPORT_PROBE = """
+import json
+star = {}
+exec("from evobits import *", star)
+print(json.dumps(sorted(name for name in star if name != "__builtins__")))
+"""
+
+
+def run_fresh_python(code):
+    env = dict(os.environ, PYTHONPATH=str(Path(evobits.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestLazyImport:
+    """``import evobits`` leaves the dot problem's module for its first use."""
+
+    def test_dot_names_load_on_first_use(self):
+        result = run_fresh_python(f"DOT_NAMES = {_DOT_NAMES!r}\n{_LAZY_IMPORT_PROBE}")
+        assert result["loaded_by_import"] == []
+        assert result["listed_before_use"] == sorted(_DOT_NAMES)
+        assert result["same_objects"] == [True] * len(_DOT_NAMES)
+        assert result["missing"] == "module 'evobits' has no attribute 'no_such_name'"
+        assert result["onemax"] is True
+
+    def test_star_import_binds_the_dot_names_too(self):
+        assert run_fresh_python(_STAR_IMPORT_PROBE) == sorted(_STAR_NAMES)
 
 
 # every value flag of run/islands/bench; a flag a subcommand lacks is a usage error

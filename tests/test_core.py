@@ -204,6 +204,14 @@ class TestBitGenome:
             genome.length = 3
         assert genome == BitGenome(5, 4)
 
+    def test_other_attributes_are_refused_as_frozen(self):
+        # a frozen slotted dataclass raised TypeError from a broken super() here
+        genome = BitGenome(5, 4)
+        with pytest.raises(dataclasses.FrozenInstanceError, match="'extra'"):
+            genome.extra = 1
+        with pytest.raises(dataclasses.FrozenInstanceError, match="'extra'"):
+            del genome.extra
+
     @given(genomes, st.integers(0, 2**32))
     @settings(max_examples=100, deadline=None)
     def test_operator_outputs_pass_the_public_check(self, genome, seed):

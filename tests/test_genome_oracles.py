@@ -1,13 +1,17 @@
-"""Int-genome operators against tuple-of-bits oracles.
+"""Int-genome operators against tuple-of-bits oracles, and the genome and
+individual classes against the dataclasses they were written out from.
 
-Each oracle below is the gene-by-gene tuple implementation that the mask
-arithmetic in ``evobits`` replaced, kept here only as a reference. Every
+Each operator oracle below is the gene-by-gene tuple implementation that the
+mask arithmetic in ``evobits`` replaced, kept here only as a reference. Every
 equivalence test checks the same genome (or value) and, where a random stream
 is used, the same next draw afterwards, so both consumed the same draws.
 """
 
+import copy
+import dataclasses
 import functools
 import operator
+import pickle
 
 import pytest
 from hypothesis import example, given, settings
@@ -263,3 +267,131 @@ class TestConsensus:
         minority = tuple(1 - bit for bit in majority)
         genomes = [majority] * ((n + 1) // 2) + [minority] * (n // 2)
         assert consensus_genome(population(genomes)).bits == majority
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class BitGenomeOracle:
+    """``BitGenome``'s fields and range check, as the dataclass it once was."""
+
+    value: int
+    length: int
+
+    def __post_init__(self):
+        value, length = self.value, self.length
+        if not (type(value) is type(length) is int and length >= 1 and 0 <= value < 1 << length):
+            raise ValueError("genome out of range")
+
+
+@dataclasses.dataclass(slots=True)
+class IndividualOracle:
+    """``Individual`` as the dataclass it once was."""
+
+    genome: BitGenome
+    fitness: float | None = None
+
+
+# small lengths and values so that equal pairs are frequent
+genome_fields = st.one_of(
+    st.integers(1, 2).flatmap(lambda n: st.tuples(st.integers(0, 2**n - 1), st.just(n))),
+    st.integers(1, 130).flatmap(lambda n: st.tuples(st.integers(0, 2**n - 1), st.just(n))),
+)
+# NaN is left out: fitness is checked finite before it is ever set
+fitnesses = st.one_of(
+    st.none(), st.integers(-3, 3), st.integers(), st.sampled_from([0.0, -0.0, 1.0, 2]),
+    st.floats(allow_nan=False),
+)
+
+
+def twins(fields):
+    return BitGenome(*fields), BitGenomeOracle(*fields)
+
+
+def individual_twins(fields, fitness):
+    # both hold the same genome object, so their reprs can match exactly
+    genome = BitGenome(*fields)
+    return Individual(genome, fitness), IndividualOracle(genome, fitness)
+
+
+def after_class_name(obj):
+    name = type(obj).__qualname__
+    text = repr(obj)
+    assert text.startswith(name + "(")
+    return text[len(name):]
+
+
+def round_trips(obj):
+    """``obj`` through copy, deepcopy and every pickle protocol that handles slots."""
+    yield copy.copy(obj)
+    yield copy.deepcopy(obj)
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        yield pickle.loads(pickle.dumps(obj, protocol))
+
+
+class TestWrittenOutClasses:
+    @given(genome_fields, genome_fields)
+    @settings(max_examples=300, deadline=None)
+    def test_genome_equality_hash_and_repr(self, a, b):
+        (new_a, old_a), (new_b, old_b) = twins(a), twins(b)
+        assert (new_a == new_b) is (old_a == old_b)
+        assert (new_a != new_b) is (old_a != old_b)
+        assert hash(new_a) == hash(old_a)
+        assert after_class_name(new_a) == after_class_name(old_a)
+        # a tuple of the same fields is not a genome to either
+        assert (new_a == a) is (old_a == a) is False
+
+    @given(genome_fields)
+    @settings(max_examples=50, deadline=None)
+    def test_genome_is_frozen(self, fields):
+        new, old = twins(fields)
+        for name in ("value", "length"):
+            for mutate in (lambda g: setattr(g, name, 1), lambda g: delattr(g, name)):
+                with pytest.raises(dataclasses.FrozenInstanceError) as new_error:
+                    mutate(new)
+                with pytest.raises(dataclasses.FrozenInstanceError) as old_error:
+                    mutate(old)
+                assert str(new_error.value) == str(old_error.value)
+        assert (new.value, new.length) == (old.value, old.length) == fields
+
+    @given(genome_fields)
+    @settings(max_examples=50, deadline=None)
+    def test_genome_copies_and_pickles(self, fields):
+        new, old = twins(fields)
+        for new_copy, old_copy in zip(round_trips(new), round_trips(old), strict=True):
+            assert type(new_copy) is BitGenome and type(old_copy) is BitGenomeOracle
+            assert new_copy == new and old_copy == old
+            assert hash(new_copy) == hash(old_copy)
+
+    @given(genome_fields, fitnesses, genome_fields, fitnesses)
+    @settings(max_examples=300, deadline=None)
+    def test_individual_equality_hash_and_repr(self, a, fit_a, b, fit_b):
+        (new_a, old_a), (new_b, old_b) = individual_twins(a, fit_a), individual_twins(b, fit_b)
+        assert (new_a == new_b) is (old_a == old_b)
+        assert (new_a != new_b) is (old_a != old_b)
+        assert after_class_name(new_a) == after_class_name(old_a)
+        for ind in (new_a, old_a):
+            with pytest.raises(TypeError):
+                hash(ind)
+
+    @given(genome_fields, fitnesses)
+    @settings(max_examples=50, deadline=None)
+    def test_individual_copies_and_pickles(self, fields, fitness):
+        new, old = individual_twins(fields, fitness)
+        for new_copy, old_copy in zip(round_trips(new), round_trips(old), strict=True):
+            assert type(new_copy) is Individual and type(old_copy) is IndividualOracle
+            assert new_copy == new and old_copy == old
+            assert new_copy is not new and old_copy is not old
+
+    def test_match_arguments_and_no_instance_dict(self):
+        genome = BitGenome(5, 4)
+        pairs = [
+            (genome, BitGenomeOracle(5, 4)),
+            (Individual(genome, 2.0), IndividualOracle(genome, 2.0)),
+        ]
+        for new, old in pairs:
+            assert type(new).__match_args__ == type(old).__match_args__
+            assert not hasattr(new, "__dict__") and not hasattr(old, "__dict__")
+        match Individual(genome, 2.0):
+            case Individual(BitGenome(value, length), fitness):
+                assert (value, length, fitness) == (5, 4, 2.0)
+            case _:
+                pytest.fail("positional patterns did not match")

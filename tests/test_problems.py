@@ -327,6 +327,16 @@ class TestArenaSerialization:
         assert path.read_bytes() == b"rect_a 0.5 1.5 2.0 3.0\n"
         assert [p.name for p in tmp_path.iterdir()] == ["arena.txt"]
 
+    def test_failed_replace_names_the_given_path(self, tmp_path):
+        # the temporary file is written, then cannot replace a directory
+        path = tmp_path / "arena"
+        path.mkdir()
+        arena = RectangleArena([Rectangle("rect_a", 0.5, 1.5, 2.0, 3.0)], 10.0)
+        with pytest.raises(IsADirectoryError) as error:
+            save_arena(arena, str(path))
+        assert str(error.value) == f"[Errno 21] Is a directory: '{path}'"
+        assert [p.name for p in tmp_path.iterdir()] == ["arena"]
+
     def test_save_replaces_old_file_and_leaves_no_temporary(self, tmp_path):
         path = tmp_path / "arena.txt"
         path.write_text("stale\n")
