@@ -8,55 +8,22 @@ island model with migration (:mod:`evobits.islands`); the rectangle-stabbing
 dot problem (:mod:`evobits.problems`); and a CSV-reporting command line
 (:mod:`evobits.cli`).
 
-``import evobits`` loads core, engine and islands. The dot problem's module
-loads the first time one of its names is read from this package.
+Every name a module lists in its ``__all__`` can be imported from this
+package. ``import evobits`` loads core, engine and islands; the dot problem's
+module loads the first time one of its names is read from this package.
 """
 
-from .core import (
-    BitFlip,
-    BitGenome,
-    NPointCrossover,
-    OperatorSpec,
-    RandomSource,
-    bitflip,
-    choose_operator,
-    decode,
-    hamming,
-    n_point_crossover,
-    onemax,
-    random_genome,
-    royal_road,
-)
-from .engine import (
-    EasyStepConfig,
-    EvaluationError,
-    FitnessFunction,
-    Individual,
-    MaxGenerations,
-    RunStats,
-    TargetFitness,
-    Terminator,
-    canonical_step,
-    easy_step,
-    evaluate_population,
-    run,
-    sort_by_fitness,
-)
-from .islands import (
-    Archipelago,
-    IslandConfig,
-    MigrantMessage,
-    MigrationPolicy,
-    consensus_genome,
-    integrate_migrant,
-    run_archipelago,
-    select_migrant,
-)
+from . import core, engine, islands
+from .core import *
+from .engine import *
+from .islands import *
 
 __version__ = "0.1.0"
 
-# read from evobits.problems on first use
+# read from evobits.problems on first use: its ``__all__`` less the names core
+# defines, listed here because the module is not loaded yet
 _DOT_NAMES = (
+    "MAX_RECTANGLES",
     "DotProblemConfig",
     "Rectangle",
     "RectangleArena",
@@ -67,11 +34,9 @@ _DOT_NAMES = (
     "save_arena",
 )
 
-# what ``from evobits import *`` bound when every submodule loaded eagerly:
-# each public name above, the submodules core, engine and islands among them,
-# and the dot problem's module and names
 __all__ = sorted(
-    {"problems", *_DOT_NAMES, *(name for name in globals() if not name.startswith("_"))}
+    {"core", "engine", "islands", "problems", *core.__all__, *engine.__all__,
+     *islands.__all__, *_DOT_NAMES}
 )
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import random
 import sys
+from bisect import bisect_right
 from typing import Sequence, Union
 
 __all__ = [
@@ -41,8 +42,8 @@ class RandomSource:
     """
 
     def __init__(self, seed: int) -> None:
-        if not 0 <= seed < _SEED_LIMIT:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+        if not (type(seed) is int and 0 <= seed < _SEED_LIMIT):
+            raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
         self.seed = seed
         self._rng = random.Random(seed)
         # bound once; the public draw methods stay on the class, so that a
@@ -373,13 +374,8 @@ def choose_operator(ops: Sequence[OperatorSpec], rng: RandomSource) -> int:
     """Index of one operator, drawn with probability rate_i / sum(rates).
 
     Rates are normalized at call time, so they may be changed between calls.
-    The generation steps normalize them once per step instead, bisecting
-    that step's running sums with the same single draw.
+    The generation steps build the same running sums once per step instead,
+    and bisect them the same way with the same single draw.
     """
-    u = _rate_wheel(ops)[-1] * rng.random()  # rates checked before the draw
-    acc = 0.0
-    for i, op in enumerate(ops):
-        acc += op.rate
-        if u < acc:
-            return i
-    return len(ops) - 1
+    wheel = _rate_wheel(ops)  # rates checked before the draw
+    return min(bisect_right(wheel, wheel[-1] * rng.random()), len(ops) - 1)

@@ -60,8 +60,7 @@ class MigrantMessage:
     """Envelope carrying one individual between island sessions."""
 
     def __init__(self, source: str, generation: int, individual: Individual) -> None:
-        if generation < 1:
-            raise ValueError(f"generation must be at least 1, got {generation}")
+        _check_count("generation", generation)
         self.source = source
         self.generation = generation
         self.individual = individual

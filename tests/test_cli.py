@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import evobits
-from evobits.cli import ConfigError, ExperimentConfig, main, parse_config
+from evobits.cli import ConfigError, ExperimentConfig, console_main, main, parse_config
 from evobits.problems import MAX_RECTANGLES, load_arena
 
 
@@ -492,21 +492,39 @@ class TestEntryPoint:
         (line,) = proc.stderr.splitlines()
         assert line.startswith("error: ") and "bits" in line
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            # 8 bits never reach a target of 9, so the generation limit ends the run
+            (["run", "--problem", "onemax", "--bits", "8", "--pop-size", "4",
+              "--max-generations", "2", "--target-fitness", "9"], 2),
+            (["run", "--bits", "0"], 1),
+        ],
+        ids=["unreachable_target", "bad_flag_value"],
+    )
+    def test_console_main_exits_with_mains_code(self, monkeypatch, capsys, argv, code):
+        monkeypatch.setattr(sys, "argv", ["evobits", *argv])
+        with pytest.raises(SystemExit) as exc:
+            console_main()
+        assert exc.value.code == code
 
-# what ``from evobits import *`` bound when the package imported every submodule
+
+# what ``from evobits import *`` binds: the four submodules and every name
+# their ``__all__`` lists
 _STAR_NAMES = [
     "Archipelago", "BitFlip", "BitGenome", "DotProblemConfig", "EasyStepConfig",
-    "EvaluationError", "FitnessFunction", "Individual", "IslandConfig", "MaxGenerations",
-    "MigrantMessage", "MigrationPolicy", "NPointCrossover", "OperatorSpec", "RandomSource",
-    "Rectangle", "RectangleArena", "RunStats", "TargetFitness", "Terminator", "bitflip",
-    "canonical_step", "choose_operator", "consensus_genome", "core", "decode", "dot_fitness",
+    "EvaluationError", "Evolution", "FitnessFunction", "Individual", "IslandConfig",
+    "MAX_RECTANGLES", "MaxGenerations", "MigrantMessage", "MigrationPolicy", "NPointCrossover",
+    "OperatorSpec", "RandomSource", "Rectangle", "RectangleArena", "RunStats", "StepFunction",
+    "TargetFitness", "Terminator", "bitflip", "canonical_step", "checked_fitness",
+    "choose_operator", "consensus_genome", "core", "decode", "derived_seed", "dot_fitness",
     "easy_step", "engine", "evaluate_population", "generate_random_arena", "grid_oracle",
     "hamming", "integrate_migrant", "islands", "load_arena", "n_point_crossover", "onemax",
     "problems", "random_genome", "royal_road", "run", "run_archipelago", "save_arena",
-    "select_migrant", "sort_by_fitness",
+    "select_migrant", "sort_by_fitness", "turnover_count",
 ]
 _DOT_NAMES = [
-    "DotProblemConfig", "Rectangle", "RectangleArena", "dot_fitness",
+    "MAX_RECTANGLES", "DotProblemConfig", "Rectangle", "RectangleArena", "dot_fitness",
     "generate_random_arena", "grid_oracle", "load_arena", "save_arena",
 ]
 
@@ -529,6 +547,29 @@ print(json.dumps({
     "same_objects": [value is getattr(problems, name) for name, value in zip(DOT_NAMES, values)],
     "missing": missing,
     "onemax": evobits.onemax is evobits.problems.onemax is evobits.core.onemax,
+}))
+"""
+
+_EXPORTS_PROBE = """
+import importlib, json, sys
+import evobits
+loaded = [name for name in ("evobits.problems", "dataclasses") if name in sys.modules]
+modules = {
+    name: importlib.import_module(f"evobits.{name}")
+    for name in ("core", "engine", "islands", "problems")
+}
+listed = set(modules).union(*(module.__all__ for module in modules.values()))
+print(json.dumps({
+    "loaded_by_import": loaded,
+    "missing": sorted(listed - set(evobits.__all__)),
+    "extra": sorted(set(evobits.__all__) - listed),
+    "different": sorted(
+        f"{module_name}.{name}"
+        for module_name, module in modules.items()
+        for name in module.__all__
+        if getattr(evobits, name, None) is not getattr(module, name)
+    ),
+    "submodules": [getattr(evobits, name) is module for name, module in modules.items()],
 }))
 """
 
@@ -562,6 +603,15 @@ class TestLazyImport:
 
     def test_star_import_binds_the_dot_names_too(self):
         assert run_fresh_python(_STAR_IMPORT_PROBE) == sorted(_STAR_NAMES)
+
+    def test_package_exports_exactly_what_its_modules_export(self):
+        assert run_fresh_python(_EXPORTS_PROBE) == {
+            "loaded_by_import": [],
+            "missing": [],
+            "extra": [],
+            "different": [],
+            "submodules": [True] * 4,
+        }
 
 
 # every value flag of run/islands/bench; a flag a subcommand lacks is a usage error

@@ -45,6 +45,15 @@ class TestRandomSource:
         with pytest.raises(ValueError):
             RandomSource(seed)
 
+    @pytest.mark.parametrize("seed", [1.5, 7.0, True, math.nan, math.inf, "7", None])
+    def test_seed_not_an_int_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed must be a 64-bit unsigned integer"):
+            RandomSource(seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_range_ends_accepted(self, seed):
+        assert RandomSource(seed).seed == seed
+
     @given(
         st.integers(1, 300).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, min(n, 8)))),
         st.integers(0, 2**64 - 1),

@@ -258,6 +258,20 @@ class ScriptedRandom:
         raise AssertionError("scripted draws must not reach randrange")
 
 
+def linear_choose_operator(ops, rng):
+    """Oracle: ``choose_operator`` as a linear scan of the running sums."""
+    total = 0.0
+    for op in ops:
+        total += op.rate
+    u = total * rng.random()
+    acc = 0.0
+    for i, op in enumerate(ops):
+        acc += op.rate
+        if u < acc:
+            return i
+    return len(ops) - 1
+
+
 def evaluated_pool(fitnesses):
     # distinct genomes, so each recorded parent names its pool slot
     pool = [Individual(BitGenome.from_string(f"{i:08b}")) for i in range(len(fitnesses))]
@@ -271,7 +285,7 @@ def oracle_and_prefix_picks(fitnesses, arity, count, rng_oracle, rng_prefix):
     op = RecordingOperator(arity)
     expected = []
     for _ in range(count):
-        choose_operator([op], rng_oracle)
+        linear_choose_operator([op], rng_oracle)
         expected.append(linear_pick_parents(pool, arity, rng_oracle))
     _make_offspring(count, pool, EasyStepConfig(0.5, [op]), rng_prefix)
     return expected, op.parents
@@ -482,10 +496,10 @@ class LoggingOperator:
 
 
 def oracle_operator_picks(ops, pool, count, rng):
-    """Oracle: one ``choose_operator`` call per offspring, then the linear wheels."""
+    """Oracle: one linear operator scan per offspring, then the linear wheels."""
     picks = []
     for _ in range(count):
-        i = choose_operator(ops, rng)
+        i = linear_choose_operator(ops, rng)
         picks.append((i, linear_pick_parents(pool, ops[i].arity, rng)))
     return picks
 
@@ -515,6 +529,25 @@ class TestOperatorWheel:
         assert log == expected
         assert rng_wheel.random() == rng_oracle.random()
 
+    @given(
+        st.lists(operator_rates, min_size=1, max_size=5),
+        st.floats(0.0, 1.0, exclude_max=True),
+        st.integers(0, 4),
+    )
+    @example([1.0, 2.0], 0.5, 0)
+    @example([5e-324, 5e-324], 0.5, 1)
+    @example([1e308 / 8] * 5, 0.5, 3)
+    @settings(max_examples=300, deadline=None)
+    def test_choose_operator_matches_linear_scan(self, rates, draw, k):
+        ops = [LoggingOperator(i, 1, rate, []) for i, rate in enumerate(rates)]
+        sums = list(accumulate(rates, initial=0.0))[1:]
+        # draws that put u at the k-th running sum: the nearest float to it, and either side
+        on_sum = sums[k % len(sums)] / sums[-1]
+        near_sum = [math.nextafter(on_sum, 0), on_sum, math.nextafter(on_sum, 1)]
+        for d in [draw, 0.0, 1 - 2**-53, *(d for d in near_sum if d < 1)]:
+            picked = choose_operator(ops, ScriptedRandom([d]))
+            assert picked == linear_choose_operator(ops, ScriptedRandom([d])), d
+
     @pytest.mark.parametrize(
         "rates, draw",
         [
@@ -527,7 +560,7 @@ class TestOperatorWheel:
     def test_boundary_draws_match_choose_operator(self, rates, draw):
         log = []
         ops = [LoggingOperator(i, 1, rate, log) for i, rate in enumerate(rates)]
-        expected = choose_operator(ops, ScriptedRandom([draw]))
+        expected = linear_choose_operator(ops, ScriptedRandom([draw]))
         _make_offspring(1, evaluated_pool([1, 1]), EasyStepConfig(0.5, ops), ScriptedRandom([draw, 0.0]))
         assert log[0][0] == expected
 

@@ -166,6 +166,14 @@ class TestMigrantMessage:
         with pytest.raises(ValueError):
             MigrantMessage("a", 0, Individual(BitGenome.from_string("1")))
 
+    @pytest.mark.parametrize("generation", [1.5, 1.0, True, math.nan, math.inf, "3", None])
+    def test_generation_not_an_int_rejected(self, generation):
+        with pytest.raises(ValueError, match="generation must be positive and an int"):
+            MigrantMessage("a", generation, Individual(BitGenome.from_string("1")))
+
+    def test_first_generation_accepted(self):
+        assert MigrantMessage("a", 1, Individual(BitGenome.from_string("1"))).generation == 1
+
 
 class TestIslandConfig:
     def test_self_peer_rejected(self):
