@@ -76,6 +76,8 @@ _PROBLEMS = ("dot", "onemax", "royalroad")
 # largest genome length and population size: beyond it a run would spend
 # minutes drawing its first population before printing anything
 _MAX_SIZE = 2**20
+# largest island count: fully connected islands send n * (n - 1) migrants a round
+_MAX_ISLANDS = 256
 
 
 def _rule(accept: Callable[[Any], bool], requirement: str) -> Callable[[Any], None]:
@@ -85,27 +87,36 @@ def _rule(accept: Callable[[Any], bool], requirement: str) -> Callable[[Any], No
     return check
 
 
-# key -> (cast from string, owner raising ValueError on a value it cannot use)
-_KEYS: dict[str, tuple[Callable[[str], Any], Callable[[Any], object] | None]] = {
-    "problem": (str, _rule(_PROBLEMS.__contains__, f"must be one of {', '.join(_PROBLEMS)}")),
-    "num_rects": (int, lambda v: DotProblemConfig(num_rects=v)),
-    "arena_side": (float, lambda v: DotProblemConfig(arena_side=v)),
-    "bits": (int, _rule(lambda v: 1 <= v <= _MAX_SIZE, f"must be in [1, {_MAX_SIZE}]")),
-    "block_size": (int, _rule(lambda v: v >= 1, "must be at least 1")),
-    "pop_size": (int, _rule(lambda v: 2 <= v <= _MAX_SIZE, f"must be in [2, {_MAX_SIZE}]")),
-    "max_generations": (int, MaxGenerations),
-    "selection_rate": (float, lambda v: EasyStepConfig(v, [BitFlip()])),
-    "mutation_rate": (float, lambda v: BitFlip(rate=v)),
-    "crossover_rate": (float, lambda v: NPointCrossover(rate=v)),
-    "crossover_points": (int, lambda v: NPointCrossover(points=v)),
-    "seed": (int, RandomSource),
-    "target_fitness": (float, TargetFitness),
-    "islands": (int, _rule(lambda v: v >= 2, "must be at least 2")),
-    "migration_policy": (str, MigrationPolicy),
-    "repetitions": (int, _rule(lambda v: v >= 1, "must be at least 1")),
-    "arena_file": (str, None),
-    "dot_x": (float, None),
-    "dot_y": (float, None),
+# key -> (cast from string, owner raising ValueError on a value it cannot use,
+# flag metavar, flag help), in --help order: the keys only one command takes come last
+_KEYS: dict[str, tuple[Callable[[str], Any], Callable[[Any], object] | None, str, str]] = {
+    "problem": (str, _rule(_PROBLEMS.__contains__, f"must be one of {', '.join(_PROBLEMS)}"),
+                "NAME", "dot, onemax, or royalroad"),
+    "seed": (int, RandomSource, "N", "random seed"),
+    "num_rects": (int, lambda v: DotProblemConfig(num_rects=v),
+                  "N", "dot: rectangle count parameter"),
+    "arena_side": (float, lambda v: DotProblemConfig(arena_side=v), "X", "dot: arena side length"),
+    "bits": (int, _rule(lambda v: 1 <= v <= _MAX_SIZE, f"must be in [1, {_MAX_SIZE}]"),
+             "N", "genome length in bits"),
+    "block_size": (int, _rule(lambda v: v >= 1, "must be at least 1"),
+                   "N", "royalroad: block size"),
+    "pop_size": (int, _rule(lambda v: 2 <= v <= _MAX_SIZE, f"must be in [2, {_MAX_SIZE}]"),
+                 "N", "population size"),
+    "max_generations": (int, MaxGenerations, "N", "generation limit"),
+    "selection_rate": (float, lambda v: EasyStepConfig(v, [BitFlip()]),
+                       "Q", "population turnover fraction"),
+    "mutation_rate": (float, lambda v: BitFlip(rate=v), "R", "bit-flip operator rate"),
+    "crossover_rate": (float, lambda v: NPointCrossover(rate=v), "R", "crossover operator rate"),
+    "crossover_points": (int, lambda v: NPointCrossover(points=v), "N", "crossover cut points"),
+    "target_fitness": (float, TargetFitness, "T", "stop once best reaches T"),
+    "arena_file": (str, None, "FILE",
+                   "dot: arena fixture; loaded if present, otherwise generated and saved"),
+    "dot_x": (float, None, "X", "accepted for compatibility; unused"),
+    "dot_y": (float, None, "Y", "accepted for compatibility; unused"),
+    "islands": (int, _rule(lambda v: 2 <= v <= _MAX_ISLANDS, f"must be in [2, {_MAX_ISLANDS}]"),
+                "N", "number of islands"),
+    "migration_policy": (str, MigrationPolicy, "NAME", "migration policy: best or mostdifferent"),
+    "repetitions": (int, _rule(lambda v: v >= 1, "must be at least 1"), "N", "timing repetitions"),
 }
 
 # legacy trailing arguments, in their historical order
@@ -132,7 +143,7 @@ def _owned(keys: str, owner: Callable[..., object], *args: Any) -> None:
 def _apply(cfg: ExperimentConfig, key: str, value: str, where: str) -> None:
     if key not in _KEYS:
         raise ConfigError(f"{where}: unknown key {key!r}")
-    cast, owner = _KEYS[key]
+    cast, owner, _, _ = _KEYS[key]
     try:
         parsed = cast(value)
     except ValueError:
@@ -175,7 +186,7 @@ def parse_config(
     if path is not None:
         try:
             lines = Path(path).read_text().splitlines()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         for lineno, raw in enumerate(lines, 1):
             line = raw.split("#", 1)[0].strip()
@@ -366,28 +377,13 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="FILE", help="key = value config file")
-    parser.add_argument("--problem", metavar="NAME", help="dot, onemax, or royalroad")
-    parser.add_argument("--seed", metavar="N", help="random seed")
-    parser.add_argument("--num-rects", metavar="N", help="dot: rectangle count parameter")
-    parser.add_argument("--arena-side", metavar="X", help="dot: arena side length")
-    parser.add_argument("--bits", metavar="N", help="genome length in bits")
-    parser.add_argument("--block-size", metavar="N", help="royalroad: block size")
-    parser.add_argument("--pop-size", metavar="N", help="population size")
-    parser.add_argument("--max-generations", metavar="N", help="generation limit")
-    parser.add_argument("--selection-rate", metavar="Q", help="population turnover fraction")
-    parser.add_argument("--mutation-rate", metavar="R", help="bit-flip operator rate")
-    parser.add_argument("--crossover-rate", metavar="R", help="crossover operator rate")
-    parser.add_argument("--crossover-points", metavar="N", help="crossover cut points")
-    parser.add_argument("--target-fitness", metavar="T", help="stop once best reaches T")
-    parser.add_argument(
-        "--arena-file",
-        metavar="FILE",
-        help="dot: arena fixture; loaded if present, otherwise generated and saved",
-    )
-    parser.add_argument("--dot-x", metavar="X", help="accepted for compatibility; unused")
-    parser.add_argument("--dot-y", metavar="Y", help="accepted for compatibility; unused")
+# command -> (its help, the keys only it takes); every command takes the rest
+_COMMANDS = {
+    "run": ("run one experiment", ()),
+    "islands": ("run an island-model experiment", ("islands", "migration_policy")),
+    "bench": ("time generations and report throughput", ("repetitions",)),
+}
+_COMMAND_KEYS = {key for _, keys in _COMMANDS.values() for key in keys}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -396,31 +392,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Evolutionary algorithms over bitstring genomes, reporting CSV.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    run_parser = sub.add_parser("run", help="run one experiment")
-    _add_common_flags(run_parser)
-    run_parser.add_argument(
+    for command, (command_help, own_keys) in _COMMANDS.items():
+        command_parser = sub.add_parser(command, help=command_help)
+        command_parser.add_argument("--config", metavar="FILE", help="key = value config file")
+        for key, (_, _, metavar, key_help) in _KEYS.items():
+            if key in own_keys or key not in _COMMAND_KEYS:
+                flag = "--policy" if key == "migration_policy" else "--" + key.replace("_", "-")
+                command_parser.add_argument(flag, dest=key, metavar=metavar, help=key_help)
+    sub.choices["run"].add_argument(
         "legacy",
         nargs="*",
         metavar="LEGACY",
         help="optional positional defaults: "
         "num_rects arena_side dot_x dot_y bits pop_size num_gens selection_rate",
     )
-
-    islands_parser = sub.add_parser("islands", help="run an island-model experiment")
-    _add_common_flags(islands_parser)
-    islands_parser.add_argument("--islands", metavar="N", help="number of islands")
-    islands_parser.add_argument(
-        "--policy",
-        dest="migration_policy",
-        metavar="NAME",
-        help="migration policy: best or mostdifferent",
-    )
-
-    bench_parser = sub.add_parser("bench", help="time generations and report throughput")
-    _add_common_flags(bench_parser)
-    bench_parser.add_argument("--repetitions", metavar="N", help="timing repetitions")
-
     return parser
 
 

@@ -11,7 +11,6 @@ import math
 import time
 from bisect import bisect_right
 from itertools import accumulate
-from numbers import Real
 from operator import attrgetter
 from typing import Callable, Sequence, Union
 
@@ -141,11 +140,18 @@ class RunStats:
         self.wall_time = 0.0
 
 
+def _is_real(value: object) -> bool:
+    # numbers loads only for a fitness that is neither int nor float
+    from numbers import Real
+
+    return isinstance(value, Real)
+
+
 def checked_fitness(value: object) -> float:
     """``value`` as a float if it is a usable fitness, a finite non-negative
     real number; ValueError for anything else, NaN and infinities included."""
     # plain int/float first: an isinstance check against the ABC is far slower
-    if isinstance(value, (int, float)) or isinstance(value, Real):
+    if isinstance(value, (int, float)) or _is_real(value):
         try:
             fitness = float(value)
         except OverflowError:  # an int past the float range

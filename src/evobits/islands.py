@@ -9,7 +9,6 @@ incoming migrants replace the local worst individual.
 
 from __future__ import annotations
 
-import logging
 import time
 from collections import deque
 from enum import Enum
@@ -40,9 +39,6 @@ __all__ = [
     "run_archipelago",
     "select_migrant",
 ]
-
-logger = logging.getLogger(__name__)
-
 
 class MigrationPolicy(Enum):
     """What an island sends to its peers."""
@@ -150,6 +146,13 @@ def select_migrant(policy: MigrationPolicy, pop: Sequence[Individual]) -> Indivi
     return chosen.copy()
 
 
+def _log_rejection(reason: str, *args: object) -> None:
+    # logging would be a third of ``import evobits``; only a rejected migrant needs it
+    import logging
+
+    logging.getLogger(__name__).error("rejected migrant: " + reason, *args)
+
+
 def integrate_migrant(
     pop: list[Individual],
     migrant: Individual,
@@ -167,8 +170,8 @@ def integrate_migrant(
     if not pop:
         raise ValueError("population must not be empty")
     if migrant.genome.length != pop[0].genome.length:
-        logger.error(
-            "rejected migrant: genome length %d does not match local length %d",
+        _log_rejection(
+            "genome length %d does not match local length %d",
             migrant.genome.length,
             pop[0].genome.length,
         )
@@ -177,7 +180,7 @@ def integrate_migrant(
         try:
             checked_fitness(migrant.fitness)
         except ValueError as exc:
-            logger.error("rejected migrant: %s", exc)
+            _log_rejection("%s", exc)
             return pop
     evaluate_population([migrant], f, stats)
     pop = list(pop)
@@ -203,11 +206,12 @@ class Archipelago:
         if not configs:
             raise ValueError("at least one island is required")
         aliases = [cfg.alias for cfg in configs]
-        if len(set(aliases)) != len(aliases):
+        known = set(aliases)
+        if len(known) != len(aliases):
             raise ValueError("island aliases must be unique")
         for cfg in configs:
             for peer in cfg.peers:
-                if peer not in aliases:
+                if peer not in known:
                     raise ValueError(
                         f"island {cfg.alias!r} references unknown peer {peer!r}"
                     )

@@ -1,6 +1,8 @@
 """Tests for config parsing, the run/islands/bench subcommands, and exit codes."""
 
+import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -14,7 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import evobits
-from evobits.cli import ConfigError, ExperimentConfig, console_main, main, parse_config
+from evobits.cli import (
+    _KEYS,
+    ConfigError,
+    ExperimentConfig,
+    build_parser,
+    console_main,
+    main,
+    parse_config,
+)
 from evobits.problems import MAX_RECTANGLES, load_arena
 
 
@@ -100,6 +110,22 @@ class TestParseConfig:
     def test_missing_file_rejected(self):
         with pytest.raises(ConfigError, match="cannot read config file"):
             parse_config("/nonexistent/path.cfg")
+
+    def test_undecodable_file_is_named(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"bits = 8\n\xff\xfe = 3\n")
+        code, out, err = run_cli(["run", "--config", str(path)], capsys)
+        assert code == 1
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith(f"error: cannot read config file {path}: ")
+
+    def test_island_count_bound_is_inclusive(self):
+        assert parse_config(overrides={"islands": "256"}).islands == 256
+
+    def test_every_config_field_has_a_key(self):
+        # a field without a key could be set from neither a file nor a flag
+        assert set(_KEYS) == {field.name for field in dataclasses.fields(ExperimentConfig)}
 
     def test_cross_field_checks(self):
         with pytest.raises(ConfigError, match="even"):
@@ -221,6 +247,8 @@ class TestRunCommand:
             # max(1, round(0.75 * 2)) would turn over the whole population
             (["run", "--pop-size", "2", "--selection-rate", "0.75"], "selection_rate"),
             (["islands", "--islands", "1"], "islands"),
+            # fully connected, 257 islands would send 65,792 migrants a round
+            (["islands", "--islands", "257"], "islands"),
             (["run", "--problem", "nope"], "problem"),
             (["islands", "--policy", "nope"], "migration_policy"),
             (["run", "--seed", "-1"], "seed"),
@@ -246,6 +274,7 @@ class TestRunCommand:
             "rate_sum_overflow",
             "turnover_whole_population",
             "islands_1",
+            "islands_above_bound",
             "problem_nope",
             "policy_nope",
             "seed_negative",
@@ -532,7 +561,10 @@ _DOT_NAMES = [
 _LAZY_IMPORT_PROBE = """
 import json, sys
 import evobits
-loaded = [name for name in ("evobits.problems", "dataclasses") if name in sys.modules]
+loaded = [
+    name for name in ("evobits.problems", "dataclasses", "logging", "numbers")
+    if name in sys.modules
+]
 listed = sorted(set(dir(evobits)) & set(DOT_NAMES))
 values = [getattr(evobits, name) for name in DOT_NAMES]
 problems = sys.modules["evobits.problems"]
@@ -553,7 +585,10 @@ print(json.dumps({
 _EXPORTS_PROBE = """
 import importlib, json, sys
 import evobits
-loaded = [name for name in ("evobits.problems", "dataclasses") if name in sys.modules]
+loaded = [
+    name for name in ("evobits.problems", "dataclasses", "logging", "numbers")
+    if name in sys.modules
+]
 modules = {
     name: importlib.import_module(f"evobits.{name}")
     for name in ("core", "engine", "islands", "problems")
@@ -614,12 +649,18 @@ class TestLazyImport:
         }
 
 
-# every value flag of run/islands/bench; a flag a subcommand lacks is a usage error
-_VALUE_FLAGS = [
+# the value flags every subcommand takes (and --config and --arena-file,
+# left out here so that no generated case writes a file), then the ones only
+# one subcommand takes
+_COMMON_VALUE_FLAGS = [
     "--problem", "--seed", "--num-rects", "--arena-side", "--bits", "--block-size",
     "--pop-size", "--max-generations", "--selection-rate", "--mutation-rate",
     "--crossover-rate", "--crossover-points", "--target-fitness", "--dot-x", "--dot-y",
-    "--islands", "--policy", "--repetitions",
+]
+_OWN_VALUE_FLAGS = {"run": [], "islands": ["--islands", "--policy"], "bench": ["--repetitions"]}
+# every value flag of run/islands/bench; a flag a subcommand lacks is a usage error
+_VALUE_FLAGS = _COMMON_VALUE_FLAGS + [
+    flag for flags in _OWN_VALUE_FLAGS.values() for flag in flags
 ]
 # small integers keep every accepted run tiny; the rest probe parsing and ranges
 _VALUES = st.one_of(
@@ -652,3 +693,42 @@ class TestCliBoundary:
             assert out.getvalue() == ""
             errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
             assert len(errors) == 1
+
+
+def subcommand_flags(command):
+    """Option strings one subcommand's parser takes, ``-h``/``--help`` left out."""
+    (subparsers,) = [
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return {
+        flag
+        for action in subparsers.choices[command]._actions
+        if not isinstance(action, argparse._HelpAction)
+        for flag in action.option_strings
+    }
+
+
+class TestFlagTable:
+    @pytest.mark.parametrize("command", ["run", "islands", "bench"])
+    def test_each_command_takes_exactly_its_value_flags(self, command):
+        expected = {"--config", "--arena-file", *_COMMON_VALUE_FLAGS, *_OWN_VALUE_FLAGS[command]}
+        assert subcommand_flags(command) == expected
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            (command, flag)
+            for owner, flags in _OWN_VALUE_FLAGS.items()
+            for flag in flags
+            for command in _OWN_VALUE_FLAGS
+            if command != owner
+        ],
+    )
+    def test_other_commands_flag_is_a_usage_error(self, command, flag, capsys):
+        code, out, err = run_cli([command, flag, "2"], capsys)
+        assert code == 1
+        assert out == ""
+        (line,) = err.splitlines()
+        # run reads the value as a legacy positional, so only the flag is left over
+        assert line.startswith(f"error: unrecognized arguments: {flag}")
