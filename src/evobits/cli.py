@@ -73,9 +73,12 @@ class ExperimentConfig:
 
 
 _PROBLEMS = ("dot", "onemax", "royalroad")
-# largest genome length and population size: beyond it a run would spend
-# minutes drawing its first population before printing anything
+# largest genome length and population size
 _MAX_SIZE = 2**20
+# most genes the first population (every island's, for islands) may hold:
+# random_genome draws about 2**24 genes in 0.75 s on a 2-core x86-64 host
+# (CPython 3.11), so a larger run would draw for seconds before printing anything
+_MAX_GENES = 2**24
 # largest island count: fully connected islands send n * (n - 1) migrants a round
 _MAX_ISLANDS = 256
 
@@ -119,6 +122,20 @@ _KEYS: dict[str, tuple[Callable[[str], Any], Callable[[Any], object] | None, str
     "repetitions": (int, _rule(lambda v: v >= 1, "must be at least 1"), "N", "timing repetitions"),
 }
 
+# command -> (its help, the keys only it takes); every command takes the rest
+_COMMANDS = {
+    "run": ("run one experiment", ()),
+    "islands": ("run an island-model experiment", ("islands", "migration_policy")),
+    "bench": ("time generations and report throughput", ("repetitions",)),
+}
+_COMMAND_KEYS = {key for _, keys in _COMMANDS.values() for key in keys}
+
+
+def _takes(command: str | None, key: str) -> bool:
+    """Whether ``command`` takes ``key``; no command takes every key."""
+    return command is None or key not in _COMMAND_KEYS or key in _COMMANDS[command][1]
+
+
 # legacy trailing arguments, in their historical order
 _POSITIONAL_KEYS = (
     "num_rects",
@@ -153,7 +170,14 @@ def _apply(cfg: ExperimentConfig, key: str, value: str, where: str) -> None:
     setattr(cfg, key, parsed)
 
 
-def _check_cross_field(cfg: ExperimentConfig) -> None:
+def _check_cross_field(cfg: ExperimentConfig, command: str | None) -> None:
+    keys, genes = "bits, pop_size", cfg.bits * cfg.pop_size
+    if command == "islands":
+        keys, genes = "bits, pop_size, islands", genes * cfg.islands
+    if genes > _MAX_GENES:
+        raise ConfigError(
+            f"{keys}: the first population would hold {genes} genes, more than {_MAX_GENES}"
+        )
     if cfg.problem == "dot":
         _owned("bits", DotProblemConfig, cfg.num_rects, cfg.arena_side, cfg.bits)
     if cfg.problem == "royalroad" and cfg.bits % cfg.block_size != 0:
@@ -173,12 +197,15 @@ def parse_config(
     path: str | None = None,
     overrides: Mapping[str, str] | None = None,
     defaults: Mapping[str, str] | None = None,
+    command: str | None = None,
 ) -> ExperimentConfig:
     """Build an :class:`ExperimentConfig` from a ``key = value`` file and flags.
 
     Precedence, lowest first: built-in defaults, ``defaults``, the config
     file, then ``overrides`` (command-line values). Every value and every rule
     across keys is checked here; a rejection names the offending key and line.
+    For a ``command`` (``run``, ``islands`` or ``bench``), a file key that only
+    another command takes is rejected, and the gene budget counts every island.
     """
     cfg = ExperimentConfig()
     for key, value in (defaults or {}).items():
@@ -195,10 +222,13 @@ def parse_config(
             key, sep, value = line.partition("=")
             if not sep:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            _apply(cfg, key.strip(), value.strip(), f"{path}:{lineno}")
+            key = key.strip()
+            if key in _KEYS and not _takes(command, key):
+                raise ConfigError(f"{path}:{lineno}: the {command} command does not take {key}")
+            _apply(cfg, key, value.strip(), f"{path}:{lineno}")
     for key, value in (overrides or {}).items():
         _apply(cfg, key, value, "command line")
-    _check_cross_field(cfg)
+    _check_cross_field(cfg, command)
     return cfg
 
 
@@ -377,26 +407,17 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-# command -> (its help, the keys only it takes); every command takes the rest
-_COMMANDS = {
-    "run": ("run one experiment", ()),
-    "islands": ("run an island-model experiment", ("islands", "migration_policy")),
-    "bench": ("time generations and report throughput", ("repetitions",)),
-}
-_COMMAND_KEYS = {key for _, keys in _COMMANDS.values() for key in keys}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="evobits",
         description="Evolutionary algorithms over bitstring genomes, reporting CSV.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (command_help, own_keys) in _COMMANDS.items():
+    for command, (command_help, _) in _COMMANDS.items():
         command_parser = sub.add_parser(command, help=command_help)
         command_parser.add_argument("--config", metavar="FILE", help="key = value config file")
         for key, (_, _, metavar, key_help) in _KEYS.items():
-            if key in own_keys or key not in _COMMAND_KEYS:
+            if _takes(command, key):
                 flag = "--policy" if key == "migration_policy" else "--" + key.replace("_", "-")
                 command_parser.add_argument(flag, dest=key, metavar=metavar, help=key_help)
     sub.choices["run"].add_argument(
@@ -440,7 +461,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         defaults = _BENCH_DEFAULTS if args.command == "bench" else None
-        cfg = parse_config(args.config, _overrides_from_args(args), defaults)
+        cfg = parse_config(args.config, _overrides_from_args(args), defaults, args.command)
         if cfg.dot_x is not None or cfg.dot_y is not None:
             print(
                 "warning: dot_x/dot_y are accepted for compatibility and ignored",

@@ -200,13 +200,39 @@ def _trusted_genome(value: int, length: int) -> BitGenome:
     return genome
 
 
+# a Mersenne Twister output's top byte -> its gene as an ASCII digit; outputs
+# with the top bit set give no gene and are deleted
+_GENE_DIGITS = bytes.maketrans(bytes(range(0x80)), b"0" * 0x40 + b"1" * 0x40)
+_NO_GENE = bytes(range(0x80, 0x100))
+
+
 def random_genome(length: int, rng: RandomSource) -> BitGenome:
-    """Genome of ``length`` bits, each independently 0 or 1 with p = 0.5, gene 0 first."""
-    randrange = rng.randrange  # still one counted call per gene
-    value = 0
-    for _ in range(length):
-        value = value << 1 | randrange(2)
-    return BitGenome(value, length)
+    """Genome of ``length`` bits, each independently 0 or 1 with p = 0.5, gene 0 first.
+
+    Draws exactly as one ``rng.randrange(2)`` per gene. A subclass that
+    overrides ``randrange`` sees each of those calls; a plain source reads the
+    same Mersenne Twister outputs in bulk.
+    """
+    if type(rng).randrange is not RandomSource.randrange or not (
+        type(length) is int and length >= 1
+    ):
+        randrange = rng.randrange
+        value = 0
+        for _ in range(length):
+            value = value << 1 | randrange(2)
+        return BitGenome(value, length)
+    # randrange(2) takes one 32-bit output w and redraws while w >> 30 >= 2, so
+    # w gives the gene w >> 30 & 1 when its top bit is 0. getrandbits(32 * m)
+    # holds the next m outputs, the first in the lowest 32 bits (CPython, on
+    # either byte order). Each output gives at most one gene, so drawing
+    # m = genes still needed never overdraws.
+    getrandbits, chunks, need = rng._getrandbits, [], length
+    while need:
+        words = getrandbits(32 * need).to_bytes(4 * need, "little")
+        chunk = words[3::4].translate(_GENE_DIGITS, _NO_GENE)
+        chunks.append(chunk)
+        need -= len(chunk)
+    return _trusted_genome(int(b"".join(chunks), 2), length)
 
 
 def decode(genome: BitGenome, gene_bits: int, low: float, high: float) -> list[float]:

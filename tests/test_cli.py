@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -122,6 +123,18 @@ class TestParseConfig:
 
     def test_island_count_bound_is_inclusive(self):
         assert parse_config(overrides={"islands": "256"}).islands == 256
+
+    def test_gene_budget_bound_is_inclusive(self):
+        sizes = {"problem": "onemax", "bits": str(2**20), "pop_size": "16"}
+        assert parse_config(overrides=sizes, command="run").pop_size == 16
+        with pytest.raises(ConfigError, match="^bits, pop_size: .* 17825792 genes"):
+            parse_config(overrides={**sizes, "pop_size": "17"}, command="run")
+
+    def test_gene_budget_counts_every_island(self):
+        sizes = {"problem": "onemax", "bits": str(2**16), "pop_size": "128", "islands": "3"}
+        assert parse_config(overrides=sizes, command="run").bits == 2**16
+        with pytest.raises(ConfigError, match="^bits, pop_size, islands: .* 25165824 genes"):
+            parse_config(overrides=sizes, command="islands")
 
     def test_every_config_field_has_a_key(self):
         # a field without a key could be set from neither a file nor a flag
@@ -502,11 +515,11 @@ class TestEntryPoint:
     """``python -m evobits`` in a child process, through ``console_main``."""
 
     @staticmethod
-    def run_module(*argv):
+    def run_module(*argv, timeout=60):
         env = dict(os.environ, PYTHONPATH=str(Path(evobits.__file__).parents[1]))
         return subprocess.run(
             [sys.executable, "-m", "evobits", *argv],
-            capture_output=True, text=True, env=env, timeout=60,
+            capture_output=True, text=True, env=env, timeout=timeout,
         )
 
     def test_generation_limit_exits_two(self):
@@ -520,6 +533,20 @@ class TestEntryPoint:
         assert proc.stdout == ""
         (line,) = proc.stderr.splitlines()
         assert line.startswith("error: ") and "bits" in line
+
+    def test_population_over_the_gene_budget_exits_one_before_drawing(self):
+        # 2**40 genes: hours of drawing and about 128 GB, were it accepted; a
+        # child process, so that a run that starts drawing is killed
+        started = time.perf_counter()
+        proc = self.run_module(
+            "run", "--problem", "onemax", "--bits", "1048576", "--pop-size", "1048576",
+            "--max-generations", "1", timeout=5,
+        )
+        assert time.perf_counter() - started < 1.0
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("error: bits, pop_size: ")
 
     @pytest.mark.parametrize(
         "argv, code",
@@ -658,6 +685,7 @@ _COMMON_VALUE_FLAGS = [
     "--crossover-rate", "--crossover-points", "--target-fitness", "--dot-x", "--dot-y",
 ]
 _OWN_VALUE_FLAGS = {"run": [], "islands": ["--islands", "--policy"], "bench": ["--repetitions"]}
+_OWN_KEYS = {"run": [], "islands": ["islands", "migration_policy"], "bench": ["repetitions"]}
 # every value flag of run/islands/bench; a flag a subcommand lacks is a usage error
 _VALUE_FLAGS = _COMMON_VALUE_FLAGS + [
     flag for flags in _OWN_VALUE_FLAGS.values() for flag in flags
@@ -732,3 +760,37 @@ class TestFlagTable:
         (line,) = err.splitlines()
         # run reads the value as a legacy positional, so only the flag is left over
         assert line.startswith(f"error: unrecognized arguments: {flag}")
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [
+            (command, key)
+            for owner, keys in _OWN_KEYS.items()
+            for key in keys
+            for command in _OWN_KEYS
+            if command != owner
+        ],
+    )
+    def test_other_commands_file_key_is_rejected(self, command, key, tmp_path, capsys):
+        path = tmp_path / "exp.cfg"
+        value = {"islands": "5", "migration_policy": "best", "repetitions": "3"}[key]
+        path.write_text(f"bits = 8\n{key} = {value}\n")
+        code, out, err = run_cli([command, "--config", str(path)], capsys)
+        assert code == 1
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line == f"error: {path}:2: the {command} command does not take {key}"
+
+    @pytest.mark.parametrize(
+        "command, text, key, value",
+        [
+            ("islands", "islands = 3\nmigration_policy = mostdifferent\n", "islands", 3),
+            ("bench", "repetitions = 3\n", "repetitions", 3),
+            # with no command, a file may hold every key
+            (None, "islands = 3\nrepetitions = 4\n", "repetitions", 4),
+        ],
+    )
+    def test_taken_file_keys_apply(self, command, text, key, value, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text(text)
+        assert getattr(parse_config(str(path), command=command), key) == value

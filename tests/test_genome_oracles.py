@@ -4,7 +4,8 @@ individual classes against the dataclasses they were written out from.
 Each operator oracle below is the gene-by-gene tuple implementation that the
 mask arithmetic in ``evobits`` replaced, kept here only as a reference. Every
 equivalence test checks the same genome (or value) and, where a random stream
-is used, the same next draw afterwards, so both consumed the same draws.
+is used, the same next draw (for ``random_genome``, the same generator state)
+afterwards, so both consumed the same draws.
 """
 
 import copy
@@ -139,13 +140,93 @@ class TestGenomeRepresentation:
         assert str(BitGenome(1, 3)) == "001"
 
 
+class CountingRandrange(RandomSource):
+    """Random source that counts its ``randrange`` calls."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.calls = 0
+
+    def randrange(self, n):
+        self.calls += 1
+        return super().randrange(n)
+
+
+class OwnRandom(RandomSource):
+    """Random source overriding ``random`` only; it records every
+    ``getrandbits`` width drawn."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.widths = []
+        getrandbits = self._getrandbits
+
+        def recorded(k):
+            self.widths.append(k)
+            return getrandbits(k)
+
+        self._getrandbits = recorded
+
+    def random(self):
+        return super().random()
+
+
+def same_state(a, b):
+    return a._rng.getstate() == b._rng.getstate()
+
+
+class TestBulkGenomeDraw:
+    """The bulk draw against one ``randrange(2)`` per gene: the same genome,
+    and the generator left in the same state."""
+
+    @pytest.mark.parametrize("length", [1, 31, 32, 33, 63, 64, 65, 4301, 2**16])
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    def test_word_boundaries(self, length, seed):
+        ours, theirs = RandomSource(seed), RandomSource(seed)
+        assert random_genome(length, ours).bits == random_genome_oracle(length, theirs)
+        assert same_state(ours, theirs)
+
+    @pytest.mark.parametrize("length", [1, 33, 300])
+    def test_overridden_randrange_sees_every_gene(self, length):
+        counting, plain = CountingRandrange(3), RandomSource(3)
+        assert random_genome(length, counting) == random_genome(length, plain)
+        assert counting.calls == length
+        assert same_state(counting, plain)
+
+    @pytest.mark.parametrize("length", [1, 33, 300])
+    def test_overridden_random_draws_in_bulk(self, length):
+        own, plain = OwnRandom(3), RandomSource(3)
+        assert random_genome(length, own) == random_genome(length, plain)
+        assert own.widths[0] == 32 * length
+        assert same_state(own, plain)
+
+    @pytest.mark.parametrize(
+        "length, error, message",
+        [
+            (0, ValueError, "got value 0, length 0"),
+            (-1, ValueError, "got value 0, length -1"),
+            (2.0, TypeError, "'float' object cannot be interpreted as an integer"),
+            # one gene is drawn before the genome refuses a bool length
+            (True, ValueError, "got value 1, length True"),
+            ("8", TypeError, "'str' object cannot be interpreted as an integer"),
+        ],
+    )
+    def test_unusable_length_keeps_its_error(self, length, error, message):
+        with pytest.raises(error) as info:
+            random_genome(length, RandomSource(0))
+        assert type(info.value) is error
+        assert str(info.value).endswith(message)
+
+
 class TestCoreOperators:
-    @given(st.integers(1, 300), seeds)
+    @given(st.integers(1, 5000), seeds)
+    @example(1, 0)
     @settings(max_examples=100, deadline=None)
     def test_random_genome(self, length, seed):
         ours, theirs = RandomSource(seed), RandomSource(seed)
         assert random_genome(length, ours).bits == random_genome_oracle(length, theirs)
-        assert same_next_draw(ours, theirs)
+        # the whole generator state, not only the next draw
+        assert same_state(ours, theirs)
 
     @given(genes.flatmap(lambda bits: st.tuples(st.just(bits), st.integers(1, len(bits)))), seeds)
     @example(((0,), 1), 0)
