@@ -75,10 +75,14 @@ class ExperimentConfig:
 _PROBLEMS = ("dot", "onemax", "royalroad")
 # largest genome length and population size
 _MAX_SIZE = 2**20
-# most genes the first population (every island's, for islands) may hold:
-# random_genome draws about 2**24 genes in 0.75 s on a 2-core x86-64 host
-# (CPython 3.11), so a larger run would draw for seconds before printing anything
+# most genes the first population (every island's, for islands) may cost,
+# counting each genome as its bits plus _GENOME_COST: on a 2-core x86-64 host
+# (CPython 3.11) drawing, evaluating and sorting it took about 41 ns a gene
+# (0.69 s for 16 genomes of 2**20 bits) plus 3.0-4.7 us a genome, the cost of
+# 73-115 genes (1.9 s for 262,144 genomes of 64 bits), so a larger run would
+# work for seconds before printing anything
 _MAX_GENES = 2**24
+_GENOME_COST = 128
 # largest island count: fully connected islands send n * (n - 1) migrants a round
 _MAX_ISLANDS = 256
 
@@ -171,12 +175,13 @@ def _apply(cfg: ExperimentConfig, key: str, value: str, where: str) -> None:
 
 
 def _check_cross_field(cfg: ExperimentConfig, command: str | None) -> None:
-    keys, genes = "bits, pop_size", cfg.bits * cfg.pop_size
+    keys, genes = "bits, pop_size", cfg.pop_size * (cfg.bits + _GENOME_COST)
     if command == "islands":
         keys, genes = "bits, pop_size, islands", genes * cfg.islands
     if genes > _MAX_GENES:
         raise ConfigError(
-            f"{keys}: the first population would hold {genes} genes, more than {_MAX_GENES}"
+            f"{keys}: the first population would cost {genes} genes "
+            f"({_GENOME_COST} a genome on top of its bits), more than {_MAX_GENES}"
         )
     if cfg.problem == "dot":
         _owned("bits", DotProblemConfig, cfg.num_rects, cfg.arena_side, cfg.bits)

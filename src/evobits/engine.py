@@ -162,30 +162,38 @@ def checked_fitness(value: object) -> float:
     raise ValueError(f"fitness must be a finite non-negative real number, got {value!r}")
 
 
-def _evaluate(ind: Individual, f: FitnessFunction, stats: RunStats, label: object) -> None:
-    try:
-        value = f(ind.genome)
-    except Exception as exc:
-        raise EvaluationError(
-            f"fitness evaluation failed for individual {label}: {exc}"
-        ) from exc
-    try:
-        ind.fitness = checked_fitness(value)
-    except ValueError:
-        raise EvaluationError(
-            "fitness must be a finite non-negative real number, "
-            f"individual {label} scored {value!r}"
-        ) from None
-    stats.evaluations += 1
-
-
 def evaluate_population(
     pop: Sequence[Individual], f: FitnessFunction, stats: RunStats
 ) -> Sequence[Individual]:
-    """Set fitness on every individual, calling ``f`` only where it is unset."""
+    """Set fitness on every individual, calling ``f`` only where it is unset.
+
+    Each value is stored as :func:`checked_fitness` returns it. A plain int or
+    float is checked inline, with no call; any other type (bools included)
+    goes through ``checked_fitness``. A failed call or an unusable value raises
+    EvaluationError naming the individual's index; the individuals before it
+    keep their fitness and are counted in ``stats.evaluations``.
+    """
     for i, ind in enumerate(pop):
         if ind.fitness is None:
-            _evaluate(ind, f, stats, i)
+            try:
+                value = f(ind.genome)
+            except Exception as exc:
+                raise EvaluationError(
+                    f"fitness evaluation failed for individual {i}: {exc}"
+                ) from exc
+            kind = type(value)
+            # the comparisons are exact for ints and false for NaN
+            if (kind is int or kind is float) and 0 <= value <= _MAX_FLOAT:
+                ind.fitness = float(value)
+            else:
+                try:
+                    ind.fitness = checked_fitness(value)
+                except ValueError:
+                    raise EvaluationError(
+                        "fitness must be a finite non-negative real number, "
+                        f"individual {i} scored {value!r}"
+                    ) from None
+            stats.evaluations += 1
     return pop
 
 
@@ -252,15 +260,18 @@ def _make_offspring(
     op_total, last_op = op_wheel[-1], len(ops) - 1
     cumulative = list(accumulate(map(_fitness_of, parent_pool)))
     total, last = cumulative[-1], len(cumulative) - 1
-    # looked up on rng's class, so a subclass overriding random() sees every draw
-    random = rng.random
+    # a plain RandomSource's random() is the generator's own, so it is called
+    # without the method's frame; any other source (a subclass that counts
+    # its draws, a scripted one) is looked up as it is, so it sees every draw
+    random = rng._random if type(rng) is RandomSource else rng.random
     offspring = []
     for _ in range(count):
-        op = ops[min(bisect_right(op_wheel, op_total * random()), last_op)]
+        # bisecting below the last slot clamps a draw that rounds up to the total
+        op = ops[bisect_right(op_wheel, op_total * random(), 0, last_op)]
         # first parent by roulette: an all-zero pool falls back to a uniform
         # choice, and a draw that rounds up to the total lands on the last slot
         if total > 0.0:
-            first = min(bisect_right(cumulative, random() * total), last)
+            first = bisect_right(cumulative, random() * total, 0, last)
         else:
             first = rng.randrange(last + 1)
         parents = [parent_pool[first].genome]

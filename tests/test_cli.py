@@ -125,16 +125,48 @@ class TestParseConfig:
         assert parse_config(overrides={"islands": "256"}).islands == 256
 
     def test_gene_budget_bound_is_inclusive(self):
-        sizes = {"problem": "onemax", "bits": str(2**20), "pop_size": "16"}
+        # each genome costs its bits plus 128: 16 * 2**20 is exactly the budget
+        sizes = {"problem": "onemax", "bits": str(2**20 - 128), "pop_size": "16"}
         assert parse_config(overrides=sizes, command="run").pop_size == 16
         with pytest.raises(ConfigError, match="^bits, pop_size: .* 17825792 genes"):
             parse_config(overrides={**sizes, "pop_size": "17"}, command="run")
 
     def test_gene_budget_counts_every_island(self):
-        sizes = {"problem": "onemax", "bits": str(2**16), "pop_size": "128", "islands": "3"}
-        assert parse_config(overrides=sizes, command="run").bits == 2**16
+        sizes = {"problem": "onemax", "bits": str(2**16 - 128), "pop_size": "128",
+                 "islands": "3"}
+        assert parse_config(overrides=sizes, command="run").bits == 2**16 - 128
         with pytest.raises(ConfigError, match="^bits, pop_size, islands: .* 25165824 genes"):
             parse_config(overrides=sizes, command="islands")
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            {"bits": str(2**20), "pop_size": "16"},
+            {"bits": "64", "pop_size": "87382"},
+            {"bits": "1", "pop_size": str(2**20)},
+        ],
+        ids=["long_genomes", "short_genomes", "one_bit_genomes"],
+    )
+    def test_gene_budget_counts_each_genome(self, sizes):
+        # each was within a budget of bits * pop_size genes
+        with pytest.raises(ConfigError, match="^bits, pop_size: "):
+            parse_config(overrides={"problem": "onemax", **sizes}, command="run")
+
+    @pytest.mark.parametrize(
+        "command, sizes",
+        [
+            ("run", {}),
+            ("islands", {}),
+            ("bench", {}),
+            # the benchmark's workloads
+            ("run", {"problem": "onemax", "bits": "128", "pop_size": "256"}),
+            ("run", {"problem": "dot", "bits": "32", "pop_size": "128", "num_rects": "1999"}),
+            ("islands", {"problem": "royalroad", "bits": "256", "block_size": "8",
+                         "pop_size": "64", "islands": "3"}),
+        ],
+    )
+    def test_gene_budget_accepts_defaults_and_benchmark_sizes(self, command, sizes):
+        parse_config(overrides=sizes, command=command)  # a ConfigError fails the test
 
     def test_every_config_field_has_a_key(self):
         # a field without a key could be set from neither a file nor a flag
@@ -400,6 +432,19 @@ class TestRunCommand:
         _, without_file, _ = run_cli(plain, capsys)
         _, with_file, _ = run_cli(plain + ["--arena-file", str(arena_path)], capsys)
         assert strip_timing(without_file) == strip_timing(with_file)
+
+    def test_many_short_genomes_over_the_budget_exit_one_before_drawing(
+        self, capsys, monkeypatch
+    ):
+        def no_draw(*args):
+            raise AssertionError("drew a genome")
+
+        monkeypatch.setattr(evobits.cli, "random_genome", no_draw)
+        code, out, err = run_cli(["run", "--bits", "64", "--pop-size", "262144"], capsys)
+        assert code == 1
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("error: bits, pop_size: ")
 
 
 class TestIslandsCommand:

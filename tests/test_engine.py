@@ -3,10 +3,12 @@
 import math
 import sys
 from bisect import bisect_right
+from decimal import Decimal
+from fractions import Fraction
 from itertools import accumulate
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from evobits.core import (
@@ -21,6 +23,7 @@ from evobits.core import (
 from evobits.engine import (
     EasyStepConfig,
     EvaluationError,
+    Evolution,
     Individual,
     MaxGenerations,
     RunStats,
@@ -28,6 +31,7 @@ from evobits.engine import (
     _make_offspring,
     _spin_without,
     canonical_step,
+    checked_fitness,
     easy_step,
     evaluate_population,
     run,
@@ -121,6 +125,54 @@ class TestDrawCountingContract:
         assert counted.calls == {"randrange": 64 * 32, **calls}
 
 
+class DelegatingRandomSource(RandomSource):
+    """Overrides ``random`` with a plain delegation, so steps look it up on the class."""
+
+    def random(self):
+        return super().random()
+
+
+class TestBoundDraw:
+    """A plain source's bound ``random`` draws as the class lookup a subclass gets."""
+
+    @given(
+        st.sampled_from([easy_step, canonical_step]),
+        st.integers(0, 2**64 - 1),
+        st.integers(2, 40),
+        st.integers(2, 64),
+        st.floats(0.01, 0.99),
+        st.lists(st.floats(1e-3, 1e3) | st.integers(1, 10), min_size=2, max_size=2),
+        st.integers(1, 8),
+        st.sampled_from(["onemax", "zero", "scaled"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_steps_match_the_class_lookup(
+        self, step, seed, size, bits, selection_rate, rates, generations, fitness
+    ):
+        try:
+            turnover_count(selection_rate, size)
+        except ValueError:
+            assume(False)
+        f = {"onemax": onemax, "zero": lambda g: 0, "scaled": lambda g: g.value / 7}[fitness]
+        cfg = EasyStepConfig(
+            selection_rate,
+            [BitFlip(rate=rates[0]), NPointCrossover(points=1, rate=rates[1])],
+        )
+
+        def evolve(rng_class):
+            rng = rng_class(seed)
+            pop = [Individual(random_genome(bits, rng)) for _ in range(size)]
+            evolution = Evolution(pop, step, cfg, f, [MaxGenerations(generations)], rng)
+            pops = []
+            while not evolution.finished:
+                evolution.advance()
+                pops.append(evolution.pop)
+            stats = evolution.stats
+            return pops, stats.best_per_generation, stats.evaluations, rng._rng.getstate()
+
+        assert evolve(RandomSource) == evolve(DelegatingRandomSource)
+
+
 class TestIndividual:
     def test_slotted_without_an_instance_dict(self):
         ind = Individual(BitGenome.from_string("1010"), 2.0)
@@ -204,6 +256,70 @@ class TestEvaluatePopulation:
             evaluate_population(pop, lambda g: next(results), stats)
         assert pop[1].fitness is None
         assert stats.evaluations == 1
+
+
+class Score(float):
+    """A float subclass: not the inline path's plain float."""
+
+
+class Count(int):
+    """An int subclass: not the inline path's plain int."""
+
+
+fitness_values = (
+    st.integers(-(2**1100), 2**1100)
+    | st.integers(0, 2**64)
+    | st.booleans()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.floats(0.0, 1e-307)
+    | st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, sys.float_info.max,
+                       math.nan, -math.nan, math.inf, -math.inf, 2**1024, 2**1024 - 2**970,
+                       2**1024 - 2**970 - 1, -1, None, "3", Decimal("3"), Decimal("NaN"),
+                       Fraction(1, 3), Fraction(-1, 3), Fraction(2**1100, 3),
+                       Score(2.5), Score(-1.0), Count(7)])
+    | st.fractions()
+    | st.decimals(allow_nan=True)
+)
+
+
+def same_value(a, b):
+    # float.hex tells 0.0 from -0.0; the type tells 3 from 3.0
+    return type(a) is type(b) and (a.hex() == b.hex() if type(a) is float else a == b)
+
+
+class TestEvaluationFastPath:
+    """``evaluate_population`` stores and rejects exactly as ``checked_fitness``."""
+
+    @given(st.lists(fitness_values, min_size=1, max_size=12))
+    @example([sys.float_info.max, -0.0, 5e-324, True, Fraction(7, 2)])
+    @example([2**1024 - 2**970 - 1])  # past the float range, yet rounds down to its max
+    @example([2**1024 - 2**970])  # the first int that float() overflows on
+    @example([1.0, math.nan, 2.0])
+    @settings(max_examples=500, deadline=None)
+    def test_stores_what_checked_fitness_returns(self, values):
+        expected, bad = [], None
+        for i, value in enumerate(values):
+            try:
+                expected.append(checked_fitness(value))
+            except ValueError:
+                bad = i
+                break
+        pop = [Individual(BitGenome(i, 16)) for i in range(len(values))]
+        stats = RunStats()
+        if bad is None:
+            evaluate_population(pop, lambda g: values[g.value], stats)
+        else:
+            with pytest.raises(EvaluationError) as info:
+                evaluate_population(pop, lambda g: values[g.value], stats)
+            assert str(info.value) == (
+                "fitness must be a finite non-negative real number, "
+                f"individual {bad} scored {values[bad]!r}"
+            )
+            assert info.value.__cause__ is None and info.value.__suppress_context__
+            assert all(ind.fitness is None for ind in pop[bad:])
+        assert stats.evaluations == len(expected)
+        stored = [ind.fitness for ind in pop[: len(expected)]]
+        assert all(map(same_value, stored, expected)), (stored, expected)
 
 
 def linear_roulette_pick(pool, rng):
