@@ -84,20 +84,22 @@ class RandomSource:
         """
         if not (type(population) is range and len(population) > 21 and 0 <= k <= 5):
             return self._rng.sample(population, k)
-        # _randbelow as in randrange, and the set path redraws an index already
-        # taken; a range's items are distinct, so testing the item redraws alike
-        n = len(population)
-        getrandbits, bits = self._getrandbits, n.bit_length()
-        picked: list[int] = []
-        for _ in range(k):
-            j = getrandbits(bits)
-            while j >= n or population[j] in picked:
-                j = getrandbits(bits)
-            picked.append(population[j])
-        return picked
+        return [population[j] for j in _distinct_below(self._getrandbits, len(population), k)]
 
     def __repr__(self) -> str:
         return f"RandomSource(seed={self.seed})"
+
+
+def _distinct_below(getrandbits, n: int, k: int) -> list[int]:
+    """k distinct ints in [0, n), drawn as ``random.Random.sample``'s set path
+    draws its indices: ``getrandbits(n.bit_length())`` until below n and new."""
+    bits, picked = n.bit_length(), []
+    while k > 0:
+        j = getrandbits(bits)
+        if j < n and j not in picked:
+            picked.append(j)
+            k -= 1
+    return picked
 
 
 def derived_seed(seed: int, offset: int) -> int:
@@ -242,8 +244,8 @@ def decode(genome: BitGenome, gene_bits: int, low: float, high: float) -> list[f
     low + u / (2**gene_bits - 1) * (high - low), so the all-zeros chunk
     decodes to exactly ``low`` and the all-ones chunk to exactly ``high``.
     """
-    if gene_bits < 1:
-        raise ValueError(f"gene_bits must be positive, got {gene_bits}")
+    if not (type(gene_bits) is int and gene_bits >= 1):
+        raise ValueError(f"gene_bits must be positive and an int, got {gene_bits!r}")
     if genome.length % gene_bits != 0:
         raise ValueError(
             f"gene_bits {gene_bits} does not divide genome length {genome.length}"
@@ -267,10 +269,15 @@ def decode(genome: BitGenome, gene_bits: int, low: float, high: float) -> list[f
 def bitflip(genome: BitGenome, flip_count: int, rng: RandomSource) -> BitGenome:
     """New genome with exactly ``flip_count`` distinct, uniformly chosen bits inverted."""
     length = genome.length
-    if not 1 <= flip_count <= length:
-        raise ValueError(f"flip_count must be in [1, {length}], got {flip_count}")
+    if not (type(flip_count) is int and 1 <= flip_count <= length):
+        raise ValueError(f"flip_count must be an int in [1, {length}], got {flip_count!r}")
+    # as rng.sample(range(length), flip_count); a plain source skips the call
+    if type(rng) is RandomSource and length > 21 and flip_count <= 5:
+        loci = _distinct_below(rng._getrandbits, length, flip_count)
+    else:
+        loci = rng.sample(range(length), flip_count)
     mask = 0
-    for i in rng.sample(range(length), flip_count):
+    for i in loci:
         mask |= 1 << (length - 1 - i)
     return _trusted_genome(genome.value ^ mask, length)
 
@@ -286,15 +293,19 @@ def n_point_crossover(
     length = a.length
     if length != b.length:
         raise ValueError(f"parent lengths differ: {length} vs {b.length}")
-    if not 1 <= points < length:
+    if not (type(points) is int and 1 <= points < length):
         raise ValueError(
-            f"points must be in [1, {length - 1}] for {length}-bit parents, got {points}"
+            f"points must be an int in [1, {length - 1}] for {length}-bit parents, got {points!r}"
         )
-    # each cut switches parents for every gene from it to the end, so the
-    # genes taken from b are the XOR of one suffix mask per cut
+    # each cut switches parents for every gene from it to the end, so b's genes
+    # are the XOR of one suffix mask per cut; the kernel's index j is cut j + 1
+    if type(rng) is RandomSource and length > 22 and points <= 5:
+        cuts, end = _distinct_below(rng._getrandbits, length - 1, points), length - 1
+    else:
+        cuts, end = rng.sample(range(1, length), points), length
     from_b = 0
-    for cut in rng.sample(range(1, length), points):
-        from_b ^= (1 << (length - cut)) - 1
+    for cut in cuts:
+        from_b ^= (1 << (end - cut)) - 1
     return _trusted_genome(a.value ^ (a.value ^ b.value) & from_b, length)
 
 
@@ -312,8 +323,8 @@ def onemax(genome: BitGenome) -> int:
 
 def royal_road(genome: BitGenome, block_size: int = 4) -> int:
     """Number of disjoint consecutive all-ones blocks of ``block_size`` bits."""
-    if block_size < 1:
-        raise ValueError(f"block_size must be positive, got {block_size}")
+    if not (type(block_size) is int and block_size >= 1):
+        raise ValueError(f"block_size must be positive and an int, got {block_size!r}")
     if genome.length % block_size != 0:
         raise ValueError(
             f"block_size {block_size} does not divide genome length {genome.length}"

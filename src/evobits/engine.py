@@ -296,7 +296,10 @@ def easy_step(
     survivors. Population size is preserved; the result is sorted best-first.
     """
     replaced = turnover_count(cfg.selection_rate, len(pop))
-    ranked = sort_by_fitness(evaluate_population(pop, f, stats))
+    try:  # an unset fitness is None, which a sort of two or more cannot order
+        ranked = sort_by_fitness(pop)
+    except TypeError:
+        ranked = sort_by_fitness(evaluate_population(pop, f, stats))
     survivors = ranked[:-replaced]
     offspring = _make_offspring(replaced, survivors, cfg, rng)
     evaluate_population(offspring, f, stats)
@@ -317,7 +320,10 @@ def canonical_step(
     are drawn fitness-proportionally from the whole previous population.
     """
     elite_count = turnover_count(cfg.selection_rate, len(pop))
-    ranked = sort_by_fitness(evaluate_population(pop, f, stats))
+    try:  # as in easy_step
+        ranked = sort_by_fitness(pop)
+    except TypeError:
+        ranked = sort_by_fitness(evaluate_population(pop, f, stats))
     elites = [ind.copy() for ind in ranked[:elite_count]]
     offspring = _make_offspring(len(ranked) - elite_count, ranked, cfg, rng)
     evaluate_population(offspring, f, stats)

@@ -23,6 +23,7 @@ from evobits.core import (
     hamming,
     n_point_crossover,
     random_genome,
+    royal_road,
 )
 
 genomes = st.integers(min_value=1, max_value=64).flatmap(
@@ -512,3 +513,31 @@ class TestOperatorSpecs:
     def test_accepts_every_rate_in_the_float_range(self, rate):
         assert BitFlip(rate=rate).rate == rate
         assert NPointCrossover(rate=rate).rate == rate
+
+
+_EIGHT_BITS = BitGenome.from_string("10110100")
+
+# each free function's size argument, named as its error names it
+_SIZED_CALLS = {
+    "bitflip": ("flip_count", lambda size, rng: bitflip(_EIGHT_BITS, size, rng)),
+    "n_point_crossover": (
+        "points", lambda size, rng: n_point_crossover(_EIGHT_BITS, _EIGHT_BITS, size, rng)
+    ),
+    "royal_road": ("block_size", lambda size, rng: royal_road(_EIGHT_BITS, size)),
+    "decode": ("gene_bits", lambda size, rng: decode(_EIGHT_BITS, size, 0.0, 1.0)),
+}
+
+
+class TestFreeFunctionSizes:
+    """The free functions check their size argument as the operator classes do."""
+
+    @pytest.mark.parametrize("size", [2.0, True, "2"], ids=["float", "bool", "str"])
+    @pytest.mark.parametrize("function", sorted(_SIZED_CALLS))
+    def test_size_that_is_not_an_int_rejected_before_any_draw(self, function, size):
+        # a float failed in bit arithmetic far from here, a bool ran as size 1
+        name, call = _SIZED_CALLS[function]
+        rng = RandomSource(3)
+        state = rng._rng.getstate()
+        with pytest.raises(ValueError, match=f"^{name} must be (positive and )?an int"):
+            call(size, rng)
+        assert rng._rng.getstate() == state

@@ -1,6 +1,7 @@
 """Tests for evaluation caching, generation steps, terminators, and the run loop."""
 
 import math
+import random
 import sys
 from bisect import bisect_right
 from decimal import Decimal
@@ -16,8 +17,10 @@ from evobits.core import (
     BitGenome,
     NPointCrossover,
     RandomSource,
+    bitflip,
     choose_operator,
     hamming,
+    n_point_crossover,
     random_genome,
 )
 from evobits.engine import (
@@ -126,28 +129,68 @@ class TestDrawCountingContract:
 
 
 class DelegatingRandomSource(RandomSource):
-    """Overrides ``random`` with a plain delegation, so steps look it up on the class."""
+    """Overrides ``random`` and ``sample`` with plain delegations, so steps look
+    up ``random`` on the class and the operators draw their loci through ``sample``."""
 
     def random(self):
         return super().random()
 
+    def sample(self, population, k):
+        return super().sample(population, k)
+
 
 class TestBoundDraw:
-    """A plain source's bound ``random`` draws as the class lookup a subclass gets."""
+    """A plain source's bound ``random`` and loci kernel draw as the class
+    lookups a subclass gets."""
+
+    @staticmethod
+    def vary(rng_class, length, size, seed):
+        """A bitflip and then a crossover of two seeded parents, with the
+        generator state after each."""
+        value = random.Random(seed).getrandbits(2 * length)
+        a, b = BitGenome(value >> length, length), BitGenome(value & ~(-1 << length), length)
+        rng = rng_class(seed)
+        flipped = bitflip(a, min(size, length), rng)
+        state = rng._rng.getstate()
+        child = n_point_crossover(a, b, min(size, length - 1), rng)
+        return flipped, state, child, rng._rng.getstate()
+
+    @given(st.integers(2, 300), st.integers(1, 8), st.integers(0, 2**64 - 1))
+    @example(21, 5, 2)  # bitflip's longest genome off sample's inline path
+    @example(22, 5, 2)  # bitflip's shortest on it, crossover's longest off it
+    @example(23, 5, 2)  # crossover's shortest on it
+    @example(23, 6, 2)  # one locus past the inline path
+    @example(2, 1, 2**64 - 1)
+    @settings(max_examples=300, deadline=None)
+    def test_operators_draw_their_loci_as_sample(self, length, size, seed):
+        assert self.vary(RandomSource, length, size, seed) == self.vary(
+            DelegatingRandomSource, length, size, seed
+        )
+
+    @pytest.mark.parametrize("length", [21, 22, 23])
+    def test_loci_at_the_inline_path_boundary(self, length):
+        # off the inline path the stdlib's pool path often picks the same
+        # loci, so one seed seldom tells the two paths apart
+        for size in range(1, 9):
+            for seed in range(40):
+                assert self.vary(RandomSource, length, size, seed) == self.vary(
+                    DelegatingRandomSource, length, size, seed
+                )
 
     @given(
         st.sampled_from([easy_step, canonical_step]),
         st.integers(0, 2**64 - 1),
         st.integers(2, 40),
-        st.integers(2, 64),
+        st.integers(2, 300),
         st.floats(0.01, 0.99),
         st.lists(st.floats(1e-3, 1e3) | st.integers(1, 10), min_size=2, max_size=2),
+        st.integers(1, 6),
         st.integers(1, 8),
         st.sampled_from(["onemax", "zero", "scaled"]),
     )
     @settings(max_examples=200, deadline=None)
     def test_steps_match_the_class_lookup(
-        self, step, seed, size, bits, selection_rate, rates, generations, fitness
+        self, step, seed, size, bits, selection_rate, rates, points, generations, fitness
     ):
         try:
             turnover_count(selection_rate, size)
@@ -156,7 +199,7 @@ class TestBoundDraw:
         f = {"onemax": onemax, "zero": lambda g: 0, "scaled": lambda g: g.value / 7}[fitness]
         cfg = EasyStepConfig(
             selection_rate,
-            [BitFlip(rate=rates[0]), NPointCrossover(points=1, rate=rates[1])],
+            [BitFlip(rate=rates[0]), NPointCrossover(points=min(points, bits - 1), rate=rates[1])],
         )
 
         def evolve(rng_class):
@@ -171,6 +214,111 @@ class TestBoundDraw:
             return pops, stats.best_per_generation, stats.evaluations, rng._rng.getstate()
 
         assert evolve(RandomSource) == evolve(DelegatingRandomSource)
+
+
+def swept_easy_step(pop, cfg, f, rng, stats):
+    """``easy_step`` as it was: every step swept ``pop`` for unset fitness."""
+    replaced = turnover_count(cfg.selection_rate, len(pop))
+    ranked = sort_by_fitness(evaluate_population(pop, f, stats))
+    survivors = ranked[:-replaced]
+    offspring = _make_offspring(replaced, survivors, cfg, rng)
+    evaluate_population(offspring, f, stats)
+    return sort_by_fitness(survivors + offspring)
+
+
+def swept_canonical_step(pop, cfg, f, rng, stats):
+    """``canonical_step`` as it was: every step swept ``pop`` for unset fitness."""
+    elite_count = turnover_count(cfg.selection_rate, len(pop))
+    ranked = sort_by_fitness(evaluate_population(pop, f, stats))
+    elites = [ind.copy() for ind in ranked[:elite_count]]
+    offspring = _make_offspring(len(ranked) - elite_count, ranked, cfg, rng)
+    evaluate_population(offspring, f, stats)
+    return sort_by_fitness(elites + offspring)
+
+
+class Unordered:
+    """A fitness whose comparisons fail with an error other than TypeError."""
+
+    def __lt__(self, other):
+        raise ArithmeticError("no order")
+
+    __gt__ = __lt__
+
+
+def step_outcome(step, fitnesses, fail_at, seed):
+    """Everything a step leaves behind: its result or error, the incoming
+    population, the fitness calls in order, the evaluation count and the
+    generator state. ``f`` fails on its call number ``fail_at``."""
+    rng = RandomSource(seed)
+    pop = [Individual(random_genome(16, rng), fitness) for fitness in fitnesses]
+    calls = []
+
+    def f(genome):
+        calls.append(genome)
+        if len(calls) == fail_at:
+            raise RuntimeError(f"call {fail_at} failed")
+        return onemax(genome)
+
+    stats = RunStats()
+    try:
+        result = step(pop, default_config(), f, rng, stats)
+    except (EvaluationError, TypeError) as exc:
+        result = (type(exc), str(exc))
+    return result, pop, calls, stats.evaluations, rng._rng.getstate()
+
+
+STEPS_AND_SWEPT = pytest.mark.parametrize(
+    "step, swept",
+    [(easy_step, swept_easy_step), (canonical_step, swept_canonical_step)],
+    ids=["easy_step", "canonical_step"],
+)
+
+
+class TestSortFirst:
+    """The steps sort first and evaluate only when the sort meets an unset
+    fitness; they leave what the sweep before every sort left."""
+
+    @STEPS_AND_SWEPT
+    @given(
+        st.lists(st.none() | st.integers(0, 16) | st.floats(0, 16), min_size=2, max_size=30),
+        st.none() | st.integers(1, 40),
+        st.integers(0, 2**64 - 1),
+    )
+    @example([None, None], None, 0)  # the smallest population, all unset
+    @example([None, None], 2, 0)
+    @example([None] + [8.0] * 9, None, 1)  # one unset, first
+    @example([8.0] * 9 + [None], None, 1)  # one unset, last
+    @example([8.0] * 9 + [None], 1, 1)
+    @example([3, 9.5, 0.0, 16], None, 2)  # all set
+    @example([None] * 12, 5, 3)  # f fails on the fifth unset individual
+    @settings(max_examples=150, deadline=None)
+    def test_step_matches_the_swept_step(self, step, swept, fitnesses, fail_at, seed):
+        assert step_outcome(step, fitnesses, fail_at, seed) == step_outcome(
+            swept, fitnesses, fail_at, seed
+        )
+
+    @STEPS_AND_SWEPT
+    @pytest.mark.parametrize(
+        "fitnesses",
+        [["x", 1.0], [None, "x", 2.0], [1.0, None, None, "x"]],
+        ids=["set_only", "unset_first", "unset_between"],
+    )
+    def test_fitness_that_cannot_be_ordered_raises_type_error(self, step, swept, fitnesses):
+        outcome = step_outcome(step, fitnesses, None, 4)
+        assert outcome[0][0] is TypeError
+        assert outcome == step_outcome(swept, fitnesses, None, 4)
+
+    @pytest.mark.parametrize("step", [easy_step, canonical_step])
+    def test_other_comparison_errors_are_not_taken_for_unset_fitness(self, step):
+        # only a TypeError means an unset fitness; any other error from the
+        # sort propagates before a fitness call
+        pop, rng = fresh_population(2, 8, 5)
+        pop[0].fitness = Unordered()  # the sort's first comparison meets it
+        f = CountingFitness(onemax)
+        stats = RunStats()
+        with pytest.raises(ArithmeticError, match="no order"):
+            step(pop, default_config(), f, rng, stats)
+        assert f.calls == stats.evaluations == 0
 
 
 class TestIndividual:
