@@ -358,6 +358,8 @@ class Evolution:
             raise ValueError("at least one terminator is required")
         if not pop:
             raise ValueError("population must not be empty")
+        # a size no step can turn over is rejected before any evaluation
+        turnover_count(cfg.selection_rate, len(pop))
         self.step, self.cfg, self.f, self.terminators, self.rng = step, cfg, f, terminators, rng
         self.stats = RunStats()
         self.start = time.perf_counter()

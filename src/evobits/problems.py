@@ -23,8 +23,8 @@ from __future__ import annotations
 import math
 import os
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import compress
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -56,28 +56,76 @@ _CHECKPOINT = 16
 _DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-@dataclass(frozen=True)
 class Rectangle:
-    """Axis-aligned rectangle with closed boundaries."""
+    """Axis-aligned rectangle with closed boundaries.
 
+    Frozen and slotted, with the equality, hash, repr and match arguments of
+    a frozen dataclass, written out as ``BitGenome`` is. Corners are stored
+    as given.
+    """
+
+    __slots__ = ("id", "x0", "y0", "x1", "y1")
+    __match_args__ = ("id", "x0", "y0", "x1", "y1")
     id: str
     x0: float
     y0: float
     x1: float
     y1: float
 
-    def __post_init__(self) -> None:
+    def __init__(self, id: str, x0: float, y0: float, x1: float, y1: float) -> None:
         # one chained test: false for NaN and infinite corners as well
-        if not (-math.inf < self.x0 <= self.x1 < math.inf
-                and -math.inf < self.y0 <= self.y1 < math.inf):
+        if not (-math.inf < x0 <= x1 < math.inf and -math.inf < y0 <= y1 < math.inf):
             raise ValueError(
-                f"rectangle {self.id!r} needs finite, ordered corners, got "
-                f"({self.x0}, {self.y0})-({self.x1}, {self.y1})"
+                f"rectangle {id!r} needs finite, ordered corners, got "
+                f"({x0}, {y0})-({x1}, {y1})"
             )
+        _set_id(self, id)
+        _set_x0(self, x0)
+        _set_y0(self, y0)
+        _set_x1(self, x1)
+        _set_y1(self, y1)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.id, self.x0, self.y0, self.x1, self.y1) == (
+                other.id, other.x0, other.y0, other.x1, other.y1
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.id, self.x0, self.y0, self.x1, self.y1))
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(id={self.id!r}, x0={self.x0!r}, "
+            f"y0={self.y0!r}, x1={self.x1!r}, y1={self.y1!r})"
+        )
+
+    def __reduce__(self) -> tuple:
+        # copy, deepcopy and pickle rebuild through the checked constructor
+        return type(self), (self.id, self.x0, self.y0, self.x1, self.y1)
 
     def contains(self, x: float, y: float) -> bool:
         """True when (x, y) lies inside or on the boundary."""
         return self.x0 <= x <= self.x1 and self.y0 <= y <= self.y1
+
+
+_set_id = Rectangle.id.__set__
+_set_x0 = Rectangle.x0.__set__
+_set_y0 = Rectangle.y0.__set__
+_set_x1 = Rectangle.x1.__set__
+_set_y1 = Rectangle.y1.__set__
+_ID, _X0, _Y0, _X1, _Y1 = map(attrgetter, Rectangle.__slots__)
 
 
 class _AxisIndex:
@@ -85,19 +133,21 @@ class _AxisIndex:
 
     __slots__ = ("keys", "_bits", "_checkpoints")
 
-    def __init__(self, lows: Sequence[float], highs: Sequence[float], bits: Sequence[int]) -> None:
-        edges, n = [*lows, *highs], len(lows)
+    def __init__(self, edges: list[float], bits: list[int]) -> None:
+        # edges holds every lower edge, then every upper one: edge i bounds
+        # rectangle i mod n, whose bit is bits[i mod n]
+        n = len(bits)
         # stable: a lower edge stays ahead of an equal upper one
         order = sorted(range(2 * n), key=edges.__getitem__)
         self.keys = [(edges[i], i >= n) for i in order]
-        # edge i bounds rectangle i mod n
-        self._bits = [bits[i % n] for i in order]
-        self._checkpoints = [0]
+        self._bits = ordered = list(map((bits * 2).__getitem__, order))
+        # the XOR of the first k edges' bits at every 16th k, one slice at a time
+        self._checkpoints = checkpoints = [0]
         mask = 0
-        for k, bit in enumerate(self._bits, 1):
-            mask ^= 1 << bit
-            if k % _CHECKPOINT == 0:
-                self._checkpoints.append(mask)
+        for end in range(_CHECKPOINT, 2 * n + 1, _CHECKPOINT):
+            for bit in ordered[end - _CHECKPOINT : end]:
+                mask ^= 1 << bit
+            checkpoints.append(mask)
 
     def holding(self, v: float) -> int:
         # (v, True) sorts above lower edges <= v and upper edges < v, and (nan, True) above none
@@ -118,7 +168,7 @@ class RectangleArena:
             raise ValueError(
                 f"an arena holds at most {MAX_RECTANGLES} rectangles, got {len(rectangles)}"
             )
-        ids = [r.id for r in rectangles]
+        ids = list(map(_ID, rectangles))
         if len(set(ids)) != len(ids):
             raise ValueError("rectangle ids must be unique")
         self.rectangles: tuple[Rectangle, ...] = tuple(rectangles)
@@ -127,8 +177,8 @@ class RectangleArena:
         self._binary = f"0{len(ids)}b"
         # one int object per rectangle, shared by both indexes
         bits = list(range(len(ids) - 1, -1, -1))
-        self._x = _AxisIndex([r.x0 for r in rectangles], [r.x1 for r in rectangles], bits)
-        self._y = _AxisIndex([r.y0 for r in rectangles], [r.y1 for r in rectangles], bits)
+        self._x = _AxisIndex([*map(_X0, rectangles), *map(_X1, rectangles)], bits)
+        self._y = _AxisIndex([*map(_Y0, rectangles), *map(_Y1, rectangles)], bits)
 
     def __len__(self) -> int:
         return len(self.rectangles)
@@ -225,11 +275,12 @@ class DotProblemConfig:
         self.bits = bits
 
 
-def _positive_side(rng: RandomSource, limit: float) -> float:
-    u = rng.random()
+def _nonzero(random) -> float:
+    """The next of ``random()``'s draws that is not 0.0."""
+    u = random()
     while u == 0.0:
-        u = rng.random()
-    return u * limit
+        u = random()
+    return u
 
 
 def generate_random_arena(cfg: DotProblemConfig, rng: RandomSource) -> RectangleArena:
@@ -238,14 +289,21 @@ def generate_random_arena(cfg: DotProblemConfig, rng: RandomSource) -> Rectangle
     Lower-left corners are uniform in [0, arena_side)^2; widths and heights
     are uniform in (0, arena_side), so rectangles overlap and vary in size.
     """
+    # as in engine._make_offspring: a plain RandomSource's random() is the
+    # generator's own; any other source is called as it is, once per draw
+    random = rng._random if type(rng) is RandomSource else rng.random
+    side = cfg.arena_side
+    # RandomSource.uniform(0.0, side) is 0.0 + span * random()
+    span = side - 0.0
     rectangles = []
     for i in range(cfg.num_rects + 1):
-        x0 = rng.uniform(0.0, cfg.arena_side)
-        y0 = rng.uniform(0.0, cfg.arena_side)
-        width = _positive_side(rng, cfg.arena_side)
-        height = _positive_side(rng, cfg.arena_side)
+        x0 = 0.0 + span * random()
+        y0 = 0.0 + span * random()
+        # a draw of 0.0 would give an empty side: it is drawn again
+        width = (random() or _nonzero(random)) * side
+        height = (random() or _nonzero(random)) * side
         rectangles.append(Rectangle(f"rectangle_{i}", x0, y0, x0 + width, y0 + height))
-    return RectangleArena(rectangles, cfg.arena_side)
+    return RectangleArena(rectangles, side)
 
 
 def dot_fitness(cfg: DotProblemConfig, arena: RectangleArena) -> FitnessFunction:

@@ -1055,6 +1055,33 @@ class TestRun:
         with pytest.raises(ValueError, match="population must not be empty"):
             run([], easy_step, default_config(), onemax, [MaxGenerations(1)], RandomSource(1))
 
+    @pytest.mark.parametrize("step", [easy_step, canonical_step])
+    @pytest.mark.parametrize(
+        "size, rate", [(1, 0.2), (1, 0.9), (2, 0.75), (4, 0.9), (10, 0.96)]
+    )
+    def test_untouchable_population_rejected_before_any_evaluation(self, step, size, rate):
+        # the turnover rounds to the whole population: no step could run
+        f = CountingFitness(onemax)
+        pop, rng = fresh_population(size, 8, 24)
+        state = rng._rng.getstate()
+        cfg = EasyStepConfig(rate, [BitFlip()])
+        message = f"selection_rate {rate} rounds to the whole population of {size}"
+        with pytest.raises(ValueError, match=message):
+            run(pop, step, cfg, f, [MaxGenerations(3)], rng)
+        # a target the first population already meets does not excuse it
+        with pytest.raises(ValueError, match=message):
+            Evolution(pop, step, cfg, f, [TargetFitness(0.0)], rng)
+        assert f.calls == 0
+        assert all(ind.fitness is None for ind in pop)
+        assert rng._rng.getstate() == state
+
+    def test_smallest_turnable_population_runs(self):
+        # two individuals at rate 0.2 turn one over each step
+        f = CountingFitness(onemax)
+        pop, rng = fresh_population(2, 8, 25)
+        _, stats = run(pop, easy_step, default_config(), f, [MaxGenerations(3)], rng)
+        assert f.calls == stats.evaluations == 2 + 3
+
     def test_evaluation_accounting_is_exact(self):
         f = CountingFitness(onemax)
         pop, rng = fresh_population(20, 16, 22)

@@ -1,5 +1,6 @@
-"""Int-genome operators against tuple-of-bits oracles, and the genome and
-individual classes against the dataclasses they were written out from.
+"""Int-genome operators against tuple-of-bits oracles, and the genome,
+individual and rectangle classes against the dataclasses they were written
+out from.
 
 Each operator oracle below is the gene-by-gene tuple implementation that the
 mask arithmetic in ``evobits`` replaced, kept here only as a reference. Every
@@ -11,8 +12,11 @@ afterwards, so both consumed the same draws.
 import copy
 import dataclasses
 import functools
+import math
 import operator
 import pickle
+import struct
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -29,7 +33,7 @@ from evobits.core import (
 )
 from evobits.engine import Individual
 from evobits.islands import consensus_genome
-from evobits.problems import onemax, royal_road
+from evobits.problems import Rectangle, onemax, royal_road
 
 
 def random_genome_oracle(length, rng):
@@ -476,3 +480,151 @@ class TestWrittenOutClasses:
                 assert (value, length, fitness) == (5, 4, 2.0)
             case _:
                 pytest.fail("positional patterns did not match")
+
+
+@dataclasses.dataclass(frozen=True)
+class RectangleOracle:
+    """``Rectangle`` as the frozen dataclass it once was."""
+
+    id: str
+    x0: float
+    y0: float
+    x1: float
+    y1: float
+
+    def __post_init__(self) -> None:
+        # one chained test: false for NaN and infinite corners as well
+        if not (-math.inf < self.x0 <= self.x1 < math.inf
+                and -math.inf < self.y0 <= self.y1 < math.inf):
+            raise ValueError(
+                f"rectangle {self.id!r} needs finite, ordered corners, got "
+                f"({self.x0}, {self.y0})-({self.x1}, {self.y1})"
+            )
+
+    def contains(self, x: float, y: float) -> bool:
+        """True when (x, y) lies inside or on the boundary."""
+        return self.x0 <= x <= self.x1 and self.y0 <= y <= self.y1
+
+
+# few ids and corners so that equal rectangles are frequent; numbers that
+# compare and hash equal (1 and 1.0, 0.0 and -0.0, 0.5 and Fraction(1, 2))
+# must stay told apart by repr, as the dataclass stored them as given
+rectangle_ids = st.one_of(st.sampled_from(["a", "b", ""]), st.text(max_size=4))
+corners = st.one_of(
+    st.sampled_from([0, 1, 0.0, -0.0, 0.5, 1.0, 2**60, float(2**60), Fraction(1, 2)]),
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.fractions(max_denominator=8),
+    st.decimals(allow_nan=False, allow_infinity=False, places=2),
+)
+
+
+def ordered(a, b):
+    # min and max keep the first of two equal values, as given
+    return (a, b) if not b < a else (b, a)
+
+
+rectangle_fields = st.builds(
+    lambda id, xs, ys: (id, xs[0], ys[0], xs[1], ys[1]),
+    rectangle_ids,
+    st.tuples(corners, corners).map(lambda pair: ordered(*pair)),
+    st.tuples(corners, corners).map(lambda pair: ordered(*pair)),
+)
+# anything goes, NaN and infinities included: often rejected
+any_corner = st.one_of(corners, st.sampled_from([math.nan, math.inf, -math.inf]), st.floats())
+
+
+def rectangle_twins(fields):
+    return Rectangle(*fields), RectangleOracle(*fields)
+
+
+def same_fields(new, old):
+    for name in ("id", "x0", "y0", "x1", "y1"):
+        a, b = getattr(new, name), getattr(old, name)
+        assert type(a) is type(b) and (a == b or a != a)
+
+
+class TestWrittenOutRectangle:
+    @given(rectangle_fields, rectangle_fields)
+    @settings(max_examples=300, deadline=None)
+    def test_equality_hash_and_repr(self, a, b):
+        (new_a, old_a), (new_b, old_b) = rectangle_twins(a), rectangle_twins(b)
+        same_fields(new_a, old_a)
+        assert (new_a == new_b) is (old_a == old_b)
+        assert (new_a != new_b) is (old_a != old_b)
+        assert hash(new_a) == hash(old_a)
+        assert after_class_name(new_a) == after_class_name(old_a)
+        # a tuple of the same fields is not a rectangle to either
+        assert (new_a == a) is (old_a == a) is False
+
+    @given(rectangle_ids, any_corner, any_corner, any_corner, any_corner)
+    @settings(max_examples=300, deadline=None)
+    @example("a", math.nan, 0, 5, 5)
+    @example("a", 0, 0, math.inf, 5)
+    @example("a", -math.inf, 0, 5, 5)
+    @example("a", 5, 0, 4, 10)
+    @example("b", 0, 5.5, 1, 5)
+    @example("", 0, 0, 0, 0)
+    def test_accepts_and_rejects_alike(self, id, x0, y0, x1, y1):
+        # a Decimal beside a NaN raises InvalidOperation in both
+        try:
+            old = RectangleOracle(id, x0, y0, x1, y1)
+        except Exception as old_error:
+            with pytest.raises(type(old_error)) as new_error:
+                Rectangle(id, x0, y0, x1, y1)
+            assert type(new_error.value) is type(old_error)
+            assert str(new_error.value) == str(old_error)
+        else:
+            new = Rectangle(id, x0, y0, x1, y1)
+            same_fields(new, old)
+            assert new.contains(x0, y0) is old.contains(x0, y0) is True
+            assert new.contains(x1, y1) is old.contains(x1, y1) is True
+
+    @given(rectangle_fields, st.sampled_from(["id", "x0", "y0", "x1", "y1", "other"]))
+    @settings(max_examples=50, deadline=None)
+    def test_is_frozen(self, fields, name):
+        new, old = rectangle_twins(fields)
+        for mutate in (lambda r: setattr(r, name, 1), lambda r: delattr(r, name)):
+            with pytest.raises(dataclasses.FrozenInstanceError) as new_error:
+                mutate(new)
+            with pytest.raises(dataclasses.FrozenInstanceError) as old_error:
+                mutate(old)
+            assert str(new_error.value) == str(old_error.value)
+        same_fields(new, old)
+        assert (new.id, new.x0, new.y0, new.x1, new.y1) == fields
+
+    @given(rectangle_fields)
+    @settings(max_examples=50, deadline=None)
+    def test_copies_and_pickles(self, fields):
+        new, old = rectangle_twins(fields)
+        # the dataclass pickled under every protocol, the older two included
+        old_protocols = [pickle.loads(pickle.dumps(old, p)) for p in (0, 1)]
+        new_protocols = [pickle.loads(pickle.dumps(new, p)) for p in (0, 1)]
+        copies = zip(
+            [*round_trips(new), *new_protocols], [*round_trips(old), *old_protocols], strict=True
+        )
+        for new_copy, old_copy in copies:
+            assert type(new_copy) is Rectangle and type(old_copy) is RectangleOracle
+            assert new_copy == new and old_copy == old
+            assert hash(new_copy) == hash(old_copy)
+            same_fields(new_copy, old_copy)
+            assert after_class_name(new_copy) == after_class_name(old_copy)
+
+    def test_match_arguments_and_no_instance_dict(self):
+        assert Rectangle.__match_args__ == RectangleOracle.__match_args__
+        assert not hasattr(Rectangle("a", 0, 0, 1, 1), "__dict__")
+        match Rectangle("a", 0, 1.5, 2, 3.5):
+            case Rectangle(id, x0, y0, x1, y1):
+                assert (id, x0, y0, x1, y1) == ("a", 0, 1.5, 2, 3.5)
+            case _:
+                pytest.fail("positional patterns did not match")
+
+    def test_pickle_rebuilds_through_the_checked_constructor(self):
+        # a stream whose far corner 1.0 is edited to -1.0 (big-endian
+        # doubles) cannot smuggle in unordered corners
+        one, minus_one = (struct.pack(">d", v) for v in (1.0, -1.0))
+        data = pickle.dumps(Rectangle("a", 0.0, 0.0, 1.0, 1.0), 2)
+        assert data.count(one) == 2
+        data = data.replace(one, minus_one)
+        with pytest.raises(ValueError, match="finite, ordered corners"):
+            pickle.loads(data)

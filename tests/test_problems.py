@@ -1,10 +1,11 @@
 """Tests for the rectangle arena, bundled fitness functions, and the grid oracle."""
 
+import hashlib
 import math
 import os
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evobits.core import BitGenome, RandomSource, random_genome
@@ -162,7 +163,182 @@ class TestRectangleArena:
             RectangleArena([], side)
 
 
+class OldAxisIndex:
+    """The axis index as first built, edge by edge: the build oracle."""
+
+    def __init__(self, lows, highs, bits):
+        edges, n = [*lows, *highs], len(lows)
+        order = sorted(range(2 * n), key=edges.__getitem__)
+        self.keys = [(edges[i], i >= n) for i in order]
+        self._bits = [bits[i % n] for i in order]
+        self._checkpoints = [0]
+        mask = 0
+        for k, bit in enumerate(self._bits, 1):
+            mask ^= 1 << bit
+            if k % 16 == 0:
+                self._checkpoints.append(mask)
+
+
+def holding_brute(lows, highs, v):
+    """Mask of the rectangles whose closed extent holds v; rectangle i of n is bit n - 1 - i."""
+    n = len(lows)
+    return sum(1 << (n - 1 - i) for i in range(n) if lows[i] <= v <= highs[i])
+
+
+def axis_probes(edges):
+    """Every edge and its nearest floats on either side."""
+    probes = set()
+    for v in edges:
+        probes.update((v, math.nextafter(v, -math.inf), math.nextafter(v, math.inf)))
+    return sorted(probes)
+
+
+class TestAxisIndexBuild:
+    # a mask is stored every 16 edges: 14, 16 and 18 edges (and 30, 32 and
+    # 34) end the edge list just before, on and just after a stored mask
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 15, 16, 17, 40])
+    @pytest.mark.parametrize("grid", [3, 12, None])
+    def test_matches_old_build_and_brute_force(self, n, grid):
+        # a small grid ties many edges and makes zero-width and zero-height
+        # rectangles; None draws free floats
+        rng = RandomSource(1000 * n + (grid or 0))
+
+        def coordinate():
+            return rng.randrange(grid) * 0.5 if grid else rng.uniform(-1.0, 1.0)
+
+        rects = []
+        for i in range(n):
+            a, b, c, d = (coordinate() for _ in range(4))
+            rects.append(Rectangle(f"r{i}", min(a, b), min(c, d), max(a, b), max(c, d)))
+        self.check(rects)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_old_build_and_brute_force_everywhere(self, data):
+        coordinates = st.one_of(
+            st.sampled_from([0.0, 1.0, 2.5, 2**60, 2**60 + 1, float(2**60)]),
+            st.floats(allow_nan=False, allow_infinity=False),
+        )
+        boxes = data.draw(st.lists(st.tuples(*[coordinates] * 4), max_size=40))
+        rects = [
+            Rectangle(f"r{i}", min(a, b), min(c, d), max(a, b), max(c, d))
+            for i, (a, b, c, d) in enumerate(boxes)
+        ]
+        self.check(rects)
+
+    @staticmethod
+    def check(rects):
+        arena = RectangleArena(rects, 10.0)
+        n = len(rects)
+        bits = list(range(n - 1, -1, -1))
+        x_lows, x_highs = [r.x0 for r in rects], [r.x1 for r in rects]
+        y_lows, y_highs = [r.y0 for r in rects], [r.y1 for r in rects]
+        for index, lows, highs in ((arena._x, x_lows, x_highs), (arena._y, y_lows, y_highs)):
+            old = OldAxisIndex(lows, highs, bits)
+            assert index.keys == old.keys
+            assert index._bits == old._bits
+            assert index._checkpoints == old._checkpoints
+            assert len(index._checkpoints) == 1 + 2 * n // 16
+            for v in axis_probes([*lows, *highs]):
+                assert index.holding(v) == holding_brute(lows, highs, v)
+        # dots pairing the x probes with the y probes, the latter reversed
+        xs, ys = axis_probes([*x_lows, *x_highs]), axis_probes([*y_lows, *y_highs])
+        for x, y in zip(xs, reversed(ys)):
+            hits = arena.rectangles_containing_dot(x, y)
+            assert hits == arena.rectangles_containing_dot_brute(x, y)
+
+
+class DelegatingRandomSource(RandomSource):
+    """Draws as a plain source, but through overridden methods."""
+
+    def random(self):
+        return super().random()
+
+    def uniform(self, low, high):
+        return super().uniform(low, high)
+
+
+def old_generate_random_arena(cfg, rng):
+    """The arena generator as first written, through ``uniform``: the draw oracle."""
+
+    def positive_side(limit):
+        u = rng.random()
+        while u == 0.0:
+            u = rng.random()
+        return u * limit
+
+    rectangles = []
+    for i in range(cfg.num_rects + 1):
+        x0 = rng.uniform(0.0, cfg.arena_side)
+        y0 = rng.uniform(0.0, cfg.arena_side)
+        width = positive_side(cfg.arena_side)
+        height = positive_side(cfg.arena_side)
+        rectangles.append(Rectangle(f"rectangle_{i}", x0, y0, x0 + width, y0 + height))
+    return RectangleArena(rectangles, cfg.arena_side)
+
+
+class ZeroAt(RandomSource):
+    """Returns 0.0 at the given draws (counted from 1), each draw one ``random()`` call."""
+
+    def __init__(self, seed, zeros):
+        super().__init__(seed)
+        self.zeros, self.calls = set(zeros), 0
+
+    def random(self):
+        self.calls += 1
+        value = super().random()
+        return 0.0 if self.calls in self.zeros else value
+
+    def uniform(self, low, high):
+        return low + (high - low) * self.random()
+
+
 class TestGenerateRandomArena:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**64 - 1),
+        st.integers(1, 60),
+        st.one_of(
+            st.floats(min_value=5e-324, max_value=8.9e307),
+            st.sampled_from([5e-324, 1e-300, 1.0, 10.0, 8.9e307]),
+            st.integers(1, 10**6),
+        ),
+    )
+    @example(1 + 2**32, 1999, 10.0)
+    @example(0, 1, 5e-324)
+    @example(2**64 - 1, 3, 8.9e307)
+    def test_draw_for_draw(self, seed, num_rects, side):
+        cfg = DotProblemConfig(num_rects, side)
+        plain, delegating, oracle = (
+            RandomSource(seed), DelegatingRandomSource(seed), RandomSource(seed)
+        )
+        lines = generate_random_arena(cfg, plain).to_lines()
+        assert generate_random_arena(cfg, delegating).to_lines() == lines
+        assert old_generate_random_arena(cfg, oracle).to_lines() == lines
+        assert plain._rng.getstate() == delegating._rng.getstate() == oracle._rng.getstate()
+
+    # three rectangles of four draws each: x0, y0, width, height; a width or
+    # height of 0.0 is drawn again, a corner of 0.0 is kept
+    @pytest.mark.parametrize(
+        "zeros, draws", [([3], 13), ([4], 13), ([3, 4, 6, 7, 8], 17), ([1, 2], 12), ([], 12)]
+    )
+    def test_zero_side_draws_are_drawn_again(self, zeros, draws):
+        cfg = DotProblemConfig(2, 10.0)
+        new, old = ZeroAt(5, zeros), ZeroAt(5, zeros)
+        arena = generate_random_arena(cfg, new)
+        assert arena.to_lines() == old_generate_random_arena(cfg, old).to_lines()
+        assert new.calls == old.calls == draws
+        assert new._rng.getstate() == old._rng.getstate()
+        assert all(r.x0 < r.x1 and r.y0 < r.y1 for r in arena.rectangles)
+        if 1 in zeros:
+            assert arena.rectangles[0].x0 == 0.0
+
+    def test_dot_dense_arena_is_pinned(self):
+        # the benchmark's dot-dense arena: 1,999 rectangles at seed 1 + 2**32
+        arena = generate_random_arena(DotProblemConfig(1999, 10.0, 32), RandomSource(1 + 2**32))
+        digest = hashlib.sha256("\n".join(arena.to_lines()).encode()).hexdigest()
+        assert digest == "bcd19caf69331ef26a742b84af870f267e2594d7335e66ce83b13363db23b373"
+
     def test_creates_one_extra_rectangle(self):
         arena = generate_random_arena(DotProblemConfig(num_rects=25), RandomSource(1))
         assert len(arena) == 26
