@@ -191,10 +191,11 @@ _set_length = BitGenome.length.__set__
 
 
 def _trusted_genome(value: int, length: int) -> BitGenome:
-    """Genome the operators built themselves, in range by construction.
+    """Genome built in this module, in range by construction.
 
-    The slot setters skip the range check, which stays on the
-    public constructor as the input boundary; the result is still frozen.
+    The slot setters skip the range check, which stays on the public
+    constructor as the input boundary; the result is still frozen. The
+    operators set the same slots themselves, without this call's frame.
     """
     genome = _new_object(BitGenome)
     _set_value(genome, value)
@@ -273,13 +274,27 @@ def bitflip(genome: BitGenome, flip_count: int, rng: RandomSource) -> BitGenome:
         raise ValueError(f"flip_count must be an int in [1, {length}], got {flip_count!r}")
     # as rng.sample(range(length), flip_count); a plain source skips the call
     if type(rng) is RandomSource and length > 21 and flip_count <= 5:
-        loci = _distinct_below(rng._getrandbits, length, flip_count)
+        mask = _flip_mask(rng._getrandbits, length, flip_count)
     else:
-        loci = rng.sample(range(length), flip_count)
-    mask = 0
-    for i in loci:
-        mask |= 1 << (length - 1 - i)
-    return _trusted_genome(genome.value ^ mask, length)
+        mask = 0
+        for i in rng.sample(range(length), flip_count):
+            mask |= 1 << (length - 1 - i)
+    child = _new_object(BitGenome)
+    _set_value(child, genome.value ^ mask)
+    _set_length(child, length)
+    return child
+
+
+def _flip_mask(getrandbits, n: int, k: int) -> int:
+    """Mask of k distinct loci in [0, n), locus i at bit n - 1 - i, drawn as
+    :func:`_distinct_below` draws them; the mask itself tells a repeat."""
+    bits, top, mask = n.bit_length(), n - 1, 0
+    while k:
+        j = getrandbits(bits)
+        if j < n and not mask >> top - j & 1:
+            mask |= 1 << top - j
+            k -= 1
+    return mask
 
 
 def n_point_crossover(
@@ -298,15 +313,31 @@ def n_point_crossover(
             f"points must be an int in [1, {length - 1}] for {length}-bit parents, got {points!r}"
         )
     # each cut switches parents for every gene from it to the end, so b's genes
-    # are the XOR of one suffix mask per cut; the kernel's index j is cut j + 1
+    # are the XOR of one suffix mask per cut
     if type(rng) is RandomSource and length > 22 and points <= 5:
-        cuts, end = _distinct_below(rng._getrandbits, length - 1, points), length - 1
+        from_b = _cut_mask(rng._getrandbits, length - 1, points)
     else:
-        cuts, end = rng.sample(range(1, length), points), length
-    from_b = 0
-    for cut in cuts:
-        from_b ^= (1 << (end - cut)) - 1
-    return _trusted_genome(a.value ^ (a.value ^ b.value) & from_b, length)
+        from_b = 0
+        for cut in rng.sample(range(1, length), points):
+            from_b ^= (1 << (length - cut)) - 1
+    child = _new_object(BitGenome)
+    _set_value(child, a.value ^ (a.value ^ b.value) & from_b)
+    _set_length(child, length)
+    return child
+
+
+def _cut_mask(getrandbits, n: int, k: int) -> int:
+    """XOR of the suffix masks of k distinct cuts in [1, n], drawn as
+    :func:`_distinct_below` draws their indices (index j is cut j + 1), as
+    ``sample(range(1, n + 1), k)`` would pick them."""
+    bits, picked, mask = n.bit_length(), [], 0
+    while k:
+        j = getrandbits(bits)
+        if j < n and j not in picked:
+            picked.append(j)
+            mask ^= (1 << n - j) - 1
+            k -= 1
+    return mask
 
 
 def hamming(a: BitGenome, b: BitGenome) -> int:
@@ -336,8 +367,14 @@ def royal_road(genome: BitGenome, block_size: int = 4) -> int:
 
 
 class BitFlip:
-    """Mutation operator: invert ``flip_count`` distinct bits of one parent."""
+    """Mutation operator: invert ``flip_count`` distinct bits of one parent.
 
+    Slotted: the generation steps call :func:`bitflip` directly for this exact
+    class, so an instance's ``apply`` or ``arity`` cannot be replaced (the
+    assignment raises AttributeError); a subclass's ``apply`` is called.
+    """
+
+    __slots__ = ("flip_count", "rate")
     arity = 1
 
     def __init__(self, flip_count: int = 1, rate: float = 1.0) -> None:
@@ -351,8 +388,13 @@ class BitFlip:
 
 
 class NPointCrossover:
-    """Recombination operator: n-point crossover of two parents."""
+    """Recombination operator: n-point crossover of two parents.
 
+    Slotted, as :class:`BitFlip` is: the steps call :func:`n_point_crossover`
+    directly for this exact class.
+    """
+
+    __slots__ = ("points", "rate")
     arity = 2
 
     def __init__(self, points: int = 2, rate: float = 1.0) -> None:

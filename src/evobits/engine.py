@@ -14,7 +14,18 @@ from itertools import accumulate
 from operator import attrgetter
 from typing import Callable, Sequence, Union
 
-from .core import BitGenome, OperatorSpec, RandomSource, _MAX_FLOAT, _check_count, _rate_wheel
+from .core import (
+    BitFlip,
+    BitGenome,
+    NPointCrossover,
+    OperatorSpec,
+    RandomSource,
+    _MAX_FLOAT,
+    _check_count,
+    _rate_wheel,
+    bitflip,
+    n_point_crossover,
+)
 
 __all__ = [
     "EasyStepConfig",
@@ -233,7 +244,8 @@ def _spin_without(
     if rest <= 0.0:
         pick = rng.randrange(last)
         return pick if pick < first else pick + 1
-    u = rng.random() * rest
+    # a plain source's own random(), as in _make_offspring
+    u = (rng._random() if type(rng) is RandomSource else rng.random()) * rest
     if first and u < cumulative[first - 1]:
         return bisect_right(cumulative, u, 0, first)
     lo = first + 1
@@ -274,11 +286,22 @@ def _make_offspring(
             first = bisect_right(cumulative, random() * total, 0, last)
         else:
             first = rng.randrange(last + 1)
-        parents = [parent_pool[first].genome]
-        if op.arity != 1:
-            second = _spin_without(cumulative, first, parent_pool[first].fitness, rng)
-            parents.append(parent_pool[second].genome)
-        offspring.append(Individual(op.apply(parents, rng)))
+        parent = parent_pool[first]
+        # the built-in operators by exact type, with the call their apply makes;
+        # a subclass or any other operator (a traced stand-in) gets its apply
+        kind = type(op)
+        if kind is NPointCrossover:
+            second = _spin_without(cumulative, first, parent.fitness, rng)
+            child = n_point_crossover(parent.genome, parent_pool[second].genome, op.points, rng)
+        elif kind is BitFlip:
+            child = bitflip(parent.genome, op.flip_count, rng)
+        else:
+            parents = [parent.genome]
+            if op.arity != 1:
+                second = _spin_without(cumulative, first, parent.fitness, rng)
+                parents.append(parent_pool[second].genome)
+            child = op.apply(parents, rng)
+        offspring.append(Individual(child))
     return offspring
 
 

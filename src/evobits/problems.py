@@ -28,8 +28,8 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .core import BitGenome, RandomSource, decode, onemax, royal_road
-from .engine import FitnessFunction
+from .core import _MAX_FLOAT, BitGenome, RandomSource, decode, onemax, royal_road
+from .engine import FitnessFunction, _is_real
 
 __all__ = [
     "MAX_RECTANGLES",
@@ -158,12 +158,24 @@ class _AxisIndex:
         return mask
 
 
+def _side_within(side: object, scale: int) -> bool:
+    """Whether ``side`` is a real number, not a bool, with ``scale * side``
+    positive and within the float range.
+
+    The comparisons are exact for ints, so an int past the float range fails
+    them (``math.inf`` would not), and NaN fails them too.
+    """
+    if type(side) is bool or not (isinstance(side, (int, float)) or _is_real(side)):
+        return False
+    return 0 < scale * side <= _MAX_FLOAT
+
+
 class RectangleArena:
     """Immutable collection of rectangles supporting point-stabbing queries."""
 
     def __init__(self, rectangles: Sequence[Rectangle], arena_side: float) -> None:
-        if not 0 < arena_side < math.inf:
-            raise ValueError(f"arena_side must be positive and finite, got {arena_side}")
+        if not _side_within(arena_side, 1):
+            raise ValueError(f"arena_side must be positive and finite, got {arena_side!r}")
         if len(rectangles) > MAX_RECTANGLES:
             raise ValueError(
                 f"an arena holds at most {MAX_RECTANGLES} rectangles, got {len(rectangles)}"
@@ -264,9 +276,9 @@ class DotProblemConfig:
                 f"num_rects must be an int in [1, {MAX_RECTANGLES - 1}], got {num_rects!r}"
             )
         # generated rectangles reach up to twice the side, which must stay finite
-        if not 0 < 2 * arena_side < math.inf:
+        if not _side_within(arena_side, 2):
             raise ValueError(
-                f"arena_side must be positive and finite when doubled, got {arena_side}"
+                f"arena_side must be positive and finite when doubled, got {arena_side!r}"
             )
         if not (type(bits) is int and bits >= 2 and bits % 2 == 0):
             raise ValueError(f"bits must be an even int of at least 2, got {bits!r}")

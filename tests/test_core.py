@@ -1,8 +1,10 @@
 """Tests for genomes, decoding, variation operators, and operator choice."""
 
+import copy
 import dataclasses
 import itertools
 import math
+import pickle
 import random
 import sys
 import warnings
@@ -513,6 +515,30 @@ class TestOperatorSpecs:
     def test_accepts_every_rate_in_the_float_range(self, rate):
         assert BitFlip(rate=rate).rate == rate
         assert NPointCrossover(rate=rate).rate == rate
+
+    @pytest.mark.parametrize("make", [BitFlip, NPointCrossover])
+    @pytest.mark.parametrize("name", ["apply", "arity", "anything_else"])
+    def test_instance_cannot_replace_apply_or_arity(self, make, name):
+        # the steps call the built-in operators by exact type, without their
+        # apply, so an instance's replacement would be silently skipped
+        op = make()
+        with pytest.raises(AttributeError):
+            setattr(op, name, lambda parents, rng: parents[0])
+        assert not hasattr(op, "__dict__")
+        assert op.apply.__func__ is type(op).apply
+
+    @pytest.mark.parametrize(
+        "make, fields",
+        [(lambda: BitFlip(3, 0.5), ("flip_count", "rate")),
+         (lambda: NPointCrossover(4, 2.5), ("points", "rate"))],
+        ids=["bitflip", "crossover"],
+    )
+    def test_slotted_fields_can_be_set_and_copied(self, make, fields):
+        op = make()
+        op.rate = 7.0
+        for clone in (copy.copy(op), copy.deepcopy(op), pickle.loads(pickle.dumps(op))):
+            assert type(clone) is type(op)
+            assert [getattr(clone, f) for f in fields] == [getattr(op, f) for f in fields]
 
 
 _EIGHT_BITS = BitGenome.from_string("10110100")

@@ -184,36 +184,103 @@ class TestBoundDraw:
         st.integers(2, 300),
         st.floats(0.01, 0.99),
         st.lists(st.floats(1e-3, 1e3) | st.integers(1, 10), min_size=2, max_size=2),
-        st.integers(1, 6),
+        st.integers(1, 8),
+        st.integers(1, 8),
         st.integers(1, 8),
         st.sampled_from(["onemax", "zero", "scaled"]),
     )
+    @example(easy_step, 2, 20, 22, 0.5, [1.0, 1.0], 5, 5, 3, "onemax")  # both fallbacks
+    @example(easy_step, 2, 20, 23, 0.5, [1.0, 1.0], 6, 6, 3, "onemax")  # sizes past 5
+    @example(canonical_step, 2, 20, 23, 0.5, [1.0, 1.0], 5, 5, 3, "onemax")  # both kernels
     @settings(max_examples=200, deadline=None)
     def test_steps_match_the_class_lookup(
-        self, step, seed, size, bits, selection_rate, rates, points, generations, fitness
+        self, step, seed, size, bits, selection_rate, rates, flips, points, generations, fitness
     ):
         try:
             turnover_count(selection_rate, size)
         except ValueError:
             assume(False)
         f = {"onemax": onemax, "zero": lambda g: 0, "scaled": lambda g: g.value / 7}[fitness]
-        cfg = EasyStepConfig(
-            selection_rate,
-            [BitFlip(rate=rates[0]), NPointCrossover(points=min(points, bits - 1), rate=rates[1])],
-        )
+        built_ins = [
+            BitFlip(min(flips, bits), rates[0]),
+            NPointCrossover(min(points, bits - 1), rates[1]),
+        ]
 
-        def evolve(rng_class):
+        def evolve(rng_class, wrap):
+            """The run's populations, records, evaluations and generator state,
+            with each operator wrapped by ``wrap`` (which logs its children)."""
+            children = []
+            cfg = EasyStepConfig(selection_rate, [wrap(op, children) for op in built_ins])
             rng = rng_class(seed)
             pop = [Individual(random_genome(bits, rng)) for _ in range(size)]
             evolution = Evolution(pop, step, cfg, f, [MaxGenerations(generations)], rng)
             pops = []
             while not evolution.finished:
+                before = {id(ind.genome) for ind in evolution.pop}
                 evolution.advance()
                 pops.append(evolution.pop)
+                if wrap is not as_built:
+                    # apply ran once per offspring: the step's new genomes are
+                    # exactly the children it returned
+                    bred = [id(ind.genome) for ind in evolution.pop if id(ind.genome) not in before]
+                    assert sorted(bred) == sorted(map(id, children))
+                    children.clear()
             stats = evolution.stats
             return pops, stats.best_per_generation, stats.evaluations, rng._rng.getstate()
 
-        assert evolve(RandomSource) == evolve(DelegatingRandomSource)
+        outcomes = [
+            evolve(rng_class, wrap)
+            for wrap in (as_built, as_recording_subclass, TracedStandIn)
+            for rng_class in (RandomSource, DelegatingRandomSource)
+        ]
+        assert all(outcome == outcomes[0] for outcome in outcomes)
+
+
+def as_built(op, children):
+    return op
+
+
+class RecordingBitFlip(BitFlip):
+    """A subclass: the steps call its ``apply``, which logs each child."""
+
+    def apply(self, parents, rng):
+        child = super().apply(parents, rng)
+        self.children.append(child)
+        return child
+
+
+class RecordingNPointCrossover(NPointCrossover):
+    """As ``RecordingBitFlip``, for crossover."""
+
+    def apply(self, parents, rng):
+        child = super().apply(parents, rng)
+        self.children.append(child)
+        return child
+
+
+def as_recording_subclass(op, children):
+    if type(op) is BitFlip:
+        recording = RecordingBitFlip(op.flip_count, op.rate)
+    else:
+        recording = RecordingNPointCrossover(op.points, op.rate)
+    recording.children = children
+    return recording
+
+
+class TracedStandIn:
+    """Duck-typed operator with only ``rate``, ``arity`` and an instance
+    ``apply`` that wraps the built-in's, as a benchmark's tracer builds one."""
+
+    def __init__(self, op, children):
+        self.rate = op.rate
+        self.arity = op.arity
+
+        def apply(parents, rng):
+            child = op.apply(parents, rng)
+            children.append(child)
+            return child
+
+        self.apply = apply
 
 
 def swept_easy_step(pop, cfg, f, rng, stats):
@@ -855,6 +922,37 @@ class TestOperatorWheel:
         log.clear()
         easy_step(pop, cfg, onemax, rng, stats)
         assert [i for i, _ in log] == [1] * 20
+
+
+class TestExactTypeDispatch:
+    """The steps call ``bitflip`` and ``n_point_crossover`` themselves for the
+    exact built-in classes; every other operator gets its ``apply``."""
+
+    def test_a_subclass_instance_apply_is_called(self):
+        class Unslotted(BitFlip):
+            pass
+
+        op, log = Unslotted(), []
+        op.apply = lambda parents, rng: log.append(parents) or parents[0]
+        pop, rng = fresh_population(20, 16, 3)
+        easy_step(pop, EasyStepConfig(0.2, [op]), onemax, rng, RunStats())
+        assert len(log) == turnover_count(0.2, 20)
+
+    @pytest.mark.parametrize(
+        "op, message",
+        [(NPointCrossover(points=16), "points must be an int in \\[1, 15\\]"),
+         (BitFlip(flip_count=17), "flip_count must be an int in \\[1, 16\\]")],
+        ids=["crossover", "bitflip"],
+    )
+    def test_a_size_past_the_genome_raises_as_apply_does(self, op, message):
+        def outcome(op):
+            pop, rng = fresh_population(20, 16, 5)
+            with pytest.raises(ValueError, match=message) as raised:
+                easy_step(pop, EasyStepConfig(0.2, [op]), onemax, rng, RunStats())
+            return str(raised.value), rng._rng.getstate()
+
+        subclassed = as_recording_subclass(op, [])
+        assert outcome(op) == outcome(subclassed) == outcome(TracedStandIn(op, []))
 
 
 class TestEasyStep:

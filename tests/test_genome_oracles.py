@@ -15,6 +15,7 @@ import functools
 import math
 import operator
 import pickle
+import random
 import struct
 from fractions import Fraction
 
@@ -25,6 +26,9 @@ from hypothesis import strategies as st
 from evobits.core import (
     BitGenome,
     RandomSource,
+    _cut_mask,
+    _distinct_below,
+    _flip_mask,
     bitflip,
     decode,
     hamming,
@@ -292,6 +296,111 @@ class TestCoreOperators:
     def test_hamming(self, pair):
         a, b = pair
         assert hamming(BitGenome.from_bits(a), BitGenome.from_bits(b)) == hamming_oracle(a, b)
+
+
+def sampled_flip_mask(seed, n, k):
+    """Oracle: the flip mask of ``sample(range(n), k)``, locus i at bit
+    n - 1 - i, and the generator state after the draw."""
+    rng = random.Random(seed)
+    mask = 0
+    for locus in rng.sample(range(n), k):
+        mask |= 1 << (n - 1 - locus)
+    return mask, rng.getstate()
+
+
+def sampled_cut_mask(seed, n, k):
+    """Oracle: the XOR of the suffix masks of ``sample(range(1, n + 1), k)``,
+    as cuts of an (n + 1)-bit genome, and the generator state after the draw."""
+    rng = random.Random(seed)
+    mask = 0
+    for cut in rng.sample(range(1, n + 1), k):
+        mask ^= (1 << (n + 1 - cut)) - 1
+    return mask, rng.getstate()
+
+
+def kernel_result(kernel, seed, n, k):
+    rng = random.Random(seed)
+    return kernel(rng.getrandbits, n, k), rng.getstate()
+
+
+def redrawn_loci(seed, n, k):
+    """Draws the set path of ``sample(range(n), k)`` rejects: (repeats, out of range)."""
+    getrandbits, picked, repeats, outside = random.Random(seed).getrandbits, [], 0, 0
+    while len(picked) < k:
+        j = getrandbits(n.bit_length())
+        if j >= n:
+            outside += 1
+        elif j in picked:
+            repeats += 1
+        else:
+            picked.append(j)
+    return repeats, outside
+
+
+class TestLociKernels:
+    """``_flip_mask`` and ``_cut_mask`` build the masks that ``sample``'s
+    set path (a range of n > 21 items, k <= 5) picks, and leave the same
+    generator state. Below that, ``sample`` takes its pool path, which the
+    kernels do not draw as, and the operators call ``sample``."""
+
+    @given(st.integers(22, 300), st.integers(1, 5), seeds)
+    @example(22, 5, 3)  # no draw rejected
+    @example(22, 5, 10)  # one repeated locus drawn again
+    @example(22, 5, 11)  # two repeats and five draws past n
+    @example(23, 5, 10)
+    @example(23, 5, 11)
+    @example(127, 5, 10)
+    @example(128, 5, 11)
+    @example(300, 1, 2**64 - 1)
+    @settings(max_examples=300, deadline=None)
+    def test_kernels_build_the_sampled_masks(self, n, k, seed):
+        assert kernel_result(_flip_mask, seed, n, k) == sampled_flip_mask(seed, n, k)
+        assert kernel_result(_cut_mask, seed, n, k) == sampled_cut_mask(seed, n, k)
+
+    @pytest.mark.parametrize(
+        "n, k, seed, redrawn",
+        [(22, 5, 10, (1, 0)), (22, 5, 11, (2, 5)), (23, 5, 11, (2, 5)), (128, 5, 11, (1, 10))],
+    )
+    def test_examples_redraw(self, n, k, seed, redrawn):
+        # the seeds above stay meaningful only while they redraw
+        assert redrawn_loci(seed, n, k) == redrawn
+
+    def test_kernels_match_sample_over_fixed_cases(self):
+        # 1,500 seeded cases, n from 22 to 300 and k from 1 to 5
+        for case in range(1500):
+            n, k = 22 + case * 7 % 279, 1 + case % 5
+            picked = random.Random(case)
+            assert _distinct_below(picked.getrandbits, n, k) == random.Random(case).sample(
+                range(n), k
+            )
+            assert picked.getstate() == sampled_flip_mask(case, n, k)[1]
+            assert kernel_result(_flip_mask, case, n, k) == sampled_flip_mask(case, n, k)
+            assert kernel_result(_cut_mask, case, n, k) == sampled_cut_mask(case, n, k)
+
+    @pytest.mark.parametrize("n", [21, 22, 23])
+    @pytest.mark.parametrize("seed", [2, 3, 10, 11])
+    def test_operators_build_the_sampled_masks_at_the_boundary(self, n, seed):
+        # bitflip on n genes and crossover on n + 1 sample a range of n items
+        zeros = BitGenome(0, n + 1)
+        ones = BitGenome((1 << (n + 1)) - 1, n + 1)
+        rng = RandomSource(seed)
+        flipped = bitflip(BitGenome(0, n), 5, rng).value
+        assert (flipped, rng._rng.getstate()) == sampled_flip_mask(seed, n, 5)
+        rng = RandomSource(seed)
+        child = n_point_crossover(zeros, ones, 5, rng).value
+        assert (child, rng._rng.getstate()) == sampled_cut_mask(seed, n, 5)
+
+    def test_kernels_do_not_draw_as_the_pool_path(self):
+        # so the operators' length guards are needed: at n = 21 the kernels
+        # and sample part ways on some seeds
+        assert any(
+            kernel_result(_flip_mask, seed, 21, 5) != sampled_flip_mask(seed, 21, 5)
+            for seed in range(40)
+        )
+        assert any(
+            kernel_result(_cut_mask, seed, 21, 5) != sampled_cut_mask(seed, 21, 5)
+            for seed in range(40)
+        )
 
 
 class TestProblems:

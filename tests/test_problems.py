@@ -3,6 +3,8 @@
 import hashlib
 import math
 import os
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -161,6 +163,52 @@ class TestRectangleArena:
     def test_non_finite_side_rejected(self, side):
         with pytest.raises(ValueError):
             RectangleArena([], side)
+
+
+# each side check compares exactly, so an int past the float range fails it
+# rather than raising OverflowError later, and it refuses a bool or a value
+# that is not a real number with the documented ValueError, not a TypeError
+UNUSABLE_SIDES = pytest.mark.parametrize(
+    "side",
+    [True, False, 10**400, -(10**400), "x", None, Decimal("1"), 1 + 0j, [1.0]],
+    ids=["true", "false", "int_10**400", "int_-10**400", "str", "none", "decimal",
+         "complex", "list"],
+)
+USABLE_SIDES = pytest.mark.parametrize(
+    "side", [1, 10**300, 1e-300, 8.5e307, Fraction(1, 3)],
+    ids=["int_1", "int_10**300", "tiny", "half_the_float_range", "fraction"],
+)
+
+
+class TestArenaSide:
+    """``RectangleArena`` and ``DotProblemConfig`` take only a real side
+    within the float range (doubled, for the config)."""
+
+    @UNUSABLE_SIDES
+    @pytest.mark.parametrize(
+        "build, message",
+        [(lambda side: RectangleArena([], side), "arena_side must be positive and finite, got"),
+         (lambda side: DotProblemConfig(arena_side=side), "positive and finite when doubled")],
+        ids=["arena", "config"],
+    )
+    def test_unusable_side_rejected(self, build, message, side):
+        with pytest.raises(ValueError, match=message):
+            build(side)
+
+    @USABLE_SIDES
+    def test_usable_side_accepted(self, side):
+        assert RectangleArena([], side).arena_side == float(side)
+        cfg = DotProblemConfig(num_rects=3, arena_side=side)
+        assert cfg.arena_side is side
+        arena = generate_random_arena(cfg, RandomSource(5))
+        assert arena.arena_side == float(side) and len(arena) == 4
+
+    def test_side_past_half_the_float_range_only_fits_the_arena(self):
+        # a generated rectangle reaches up to twice the side
+        side = 10**308
+        assert RectangleArena([], side).arena_side == float(side)
+        with pytest.raises(ValueError, match="when doubled"):
+            DotProblemConfig(arena_side=side)
 
 
 class OldAxisIndex:
