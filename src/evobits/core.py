@@ -60,46 +60,15 @@ class RandomSource:
         return low + (high - low) * self._random()
 
     def randrange(self, n: int) -> int:
-        """Uniform integer in [0, n).
-
-        Draws exactly as ``random.Random.randrange``. A positive int takes the
-        stdlib's ``_randbelow`` inline; any other ``n`` goes to the stdlib.
-        """
-        if type(n) is int and n > 0:
-            # the stdlib's _randbelow(n) redraws getrandbits(n.bit_length())
-            # until it is below n
-            getrandbits, k = self._getrandbits, n.bit_length()
-            r = getrandbits(k)
-            while r >= n:
-                r = getrandbits(k)
-            return r
+        """Uniform integer in [0, n), as ``random.Random.randrange``."""
         return self._rng.randrange(n)
 
     def sample(self, population: Sequence[int], k: int) -> list[int]:
-        """k distinct elements drawn uniformly from ``population``.
-
-        Draws exactly as ``random.Random.sample``. A range of more than 21
-        items with k <= 5 takes the stdlib's set path inline, without its
-        abstract-base-class check; any other call goes to the stdlib.
-        """
-        if not (type(population) is range and len(population) > 21 and 0 <= k <= 5):
-            return self._rng.sample(population, k)
-        return [population[j] for j in _distinct_below(self._getrandbits, len(population), k)]
+        """k distinct elements of ``population``, as ``random.Random.sample``."""
+        return self._rng.sample(population, k)
 
     def __repr__(self) -> str:
         return f"RandomSource(seed={self.seed})"
-
-
-def _distinct_below(getrandbits, n: int, k: int) -> list[int]:
-    """k distinct ints in [0, n), drawn as ``random.Random.sample``'s set path
-    draws its indices: ``getrandbits(n.bit_length())`` until below n and new."""
-    bits, picked = n.bit_length(), []
-    while k > 0:
-        j = getrandbits(bits)
-        if j < n and j not in picked:
-            picked.append(j)
-            k -= 1
-    return picked
 
 
 def derived_seed(seed: int, offset: int) -> int:
@@ -190,19 +159,6 @@ _set_value = BitGenome.value.__set__
 _set_length = BitGenome.length.__set__
 
 
-def _trusted_genome(value: int, length: int) -> BitGenome:
-    """Genome built in this module, in range by construction.
-
-    The slot setters skip the range check, which stays on the public
-    constructor as the input boundary; the result is still frozen. The
-    operators set the same slots themselves, without this call's frame.
-    """
-    genome = _new_object(BitGenome)
-    _set_value(genome, value)
-    _set_length(genome, length)
-    return genome
-
-
 # a Mersenne Twister output's top byte -> its gene as an ASCII digit; outputs
 # with the top bit set give no gene and are deleted
 _GENE_DIGITS = bytes.maketrans(bytes(range(0x80)), b"0" * 0x40 + b"1" * 0x40)
@@ -235,7 +191,11 @@ def random_genome(length: int, rng: RandomSource) -> BitGenome:
         chunk = words[3::4].translate(_GENE_DIGITS, _NO_GENE)
         chunks.append(chunk)
         need -= len(chunk)
-    return _trusted_genome(int(b"".join(chunks), 2), length)
+    # in range by construction, so the slots are set without the constructor's check
+    genome = _new_object(BitGenome)
+    _set_value(genome, int(b"".join(chunks), 2))
+    _set_length(genome, length)
+    return genome
 
 
 def decode(genome: BitGenome, gene_bits: int, low: float, high: float) -> list[float]:
@@ -286,8 +246,8 @@ def bitflip(genome: BitGenome, flip_count: int, rng: RandomSource) -> BitGenome:
 
 
 def _flip_mask(getrandbits, n: int, k: int) -> int:
-    """Mask of k distinct loci in [0, n), locus i at bit n - 1 - i, drawn as
-    :func:`_distinct_below` draws them; the mask itself tells a repeat."""
+    """Mask of k distinct loci in [0, n), locus i at bit n - 1 - i, drawn as the
+    stdlib ``sample``'s set path draws its indices; the mask itself tells a repeat."""
     bits, top, mask = n.bit_length(), n - 1, 0
     while k:
         j = getrandbits(bits)
@@ -328,7 +288,7 @@ def n_point_crossover(
 
 def _cut_mask(getrandbits, n: int, k: int) -> int:
     """XOR of the suffix masks of k distinct cuts in [1, n], drawn as
-    :func:`_distinct_below` draws their indices (index j is cut j + 1), as
+    :func:`_flip_mask` draws its loci (index j is cut j + 1), as
     ``sample(range(1, n + 1), k)`` would pick them."""
     bits, picked, mask = n.bit_length(), [], 0
     while k:
@@ -422,13 +382,43 @@ def _check_count(name: str, value: int, minimum: int = 1) -> None:
         raise ValueError(f"{name} must be {bound} and an int, got {value!r}")
 
 
+def _is_real(value: object) -> bool:
+    """Whether ``value`` is a ``numbers.Real``, a bool included."""
+    # an int or float first: numbers loads only for another type, and an
+    # isinstance check against its ABC is far slower
+    if isinstance(value, (int, float)):
+        return True
+    from numbers import Real
+
+    return isinstance(value, Real)
+
+
+def _is_real_not_bool(value: object) -> bool:
+    """Whether ``value`` is a real number and not a bool; ``"x"``, None, ``1j``
+    and a Decimal are not."""
+    # a float or int without a call: the operator wheel checks each rate every step
+    kind = type(value)
+    return kind is float or kind is int or (kind is not bool and _is_real(value))
+
+
+def _positive_finite(value: object, scale: int = 1) -> bool:
+    """Whether ``value`` is a real number, not a bool, with ``scale * value``
+    positive and within the float range.
+
+    The comparisons are exact for ints, so an int past the float range fails
+    them (``math.inf`` would not), and NaN fails them too.
+    """
+    return _is_real_not_bool(value) and 0 < scale * value <= _MAX_FLOAT
+
+
 def _check_rate(rate: float) -> None:
-    """Reject a rate that is not positive or not within the float range.
+    """Reject a rate that is a bool, not a real number, not positive or not
+    within the float range.
 
     An int such as ``10**400`` passes ``rate < math.inf`` but overflows the
     float sum of the rates, so the bound is the largest float.
     """
-    if not 0 < rate <= _MAX_FLOAT:
+    if not _positive_finite(rate):
         raise ValueError(f"operator rate must be positive and finite as a float, got {rate!r}")
 
 

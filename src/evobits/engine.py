@@ -22,6 +22,8 @@ from .core import (
     RandomSource,
     _MAX_FLOAT,
     _check_count,
+    _is_real,
+    _is_real_not_bool,
     _rate_wheel,
     bitflip,
     n_point_crossover,
@@ -97,7 +99,7 @@ class EasyStepConfig:
     """
 
     def __init__(self, selection_rate: float, operators: Sequence[OperatorSpec]) -> None:
-        if not 0.0 < selection_rate < 1.0:
+        if not (_is_real_not_bool(selection_rate) and 0.0 < selection_rate < 1.0):
             raise ValueError(f"selection_rate must be in (0, 1), got {selection_rate}")
         _rate_wheel(operators)
         self.selection_rate = selection_rate
@@ -122,7 +124,7 @@ class TargetFitness:
         # NaN or a value past the float range can never be reached (an int
         # such as 10**400 too), and one below it is met by any population;
         # the comparisons are exact for ints, where math.isfinite overflows
-        if not -_MAX_FLOAT <= target <= _MAX_FLOAT:
+        if not (_is_real_not_bool(target) and -_MAX_FLOAT <= target <= _MAX_FLOAT):
             raise ValueError(f"target fitness must be finite as a float, got {target!r}")
         self.target = target
 
@@ -151,18 +153,10 @@ class RunStats:
         self.wall_time = 0.0
 
 
-def _is_real(value: object) -> bool:
-    # numbers loads only for a fitness that is neither int nor float
-    from numbers import Real
-
-    return isinstance(value, Real)
-
-
 def checked_fitness(value: object) -> float:
     """``value`` as a float if it is a usable fitness, a finite non-negative
     real number; ValueError for anything else, NaN and infinities included."""
-    # plain int/float first: an isinstance check against the ABC is far slower
-    if isinstance(value, (int, float)) or _is_real(value):
+    if _is_real(value):  # a bool too
         try:
             fitness = float(value)
         except OverflowError:  # an int past the float range

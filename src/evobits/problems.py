@@ -28,8 +28,8 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .core import _MAX_FLOAT, BitGenome, RandomSource, decode, onemax, royal_road
-from .engine import FitnessFunction, _is_real
+from .core import BitGenome, RandomSource, _positive_finite, decode, onemax, royal_road
+from .engine import FitnessFunction
 
 __all__ = [
     "MAX_RECTANGLES",
@@ -158,23 +158,11 @@ class _AxisIndex:
         return mask
 
 
-def _side_within(side: object, scale: int) -> bool:
-    """Whether ``side`` is a real number, not a bool, with ``scale * side``
-    positive and within the float range.
-
-    The comparisons are exact for ints, so an int past the float range fails
-    them (``math.inf`` would not), and NaN fails them too.
-    """
-    if type(side) is bool or not (isinstance(side, (int, float)) or _is_real(side)):
-        return False
-    return 0 < scale * side <= _MAX_FLOAT
-
-
 class RectangleArena:
     """Immutable collection of rectangles supporting point-stabbing queries."""
 
     def __init__(self, rectangles: Sequence[Rectangle], arena_side: float) -> None:
-        if not _side_within(arena_side, 1):
+        if not _positive_finite(arena_side):
             raise ValueError(f"arena_side must be positive and finite, got {arena_side!r}")
         if len(rectangles) > MAX_RECTANGLES:
             raise ValueError(
@@ -276,7 +264,7 @@ class DotProblemConfig:
                 f"num_rects must be an int in [1, {MAX_RECTANGLES - 1}], got {num_rects!r}"
             )
         # generated rectangles reach up to twice the side, which must stay finite
-        if not _side_within(arena_side, 2):
+        if not _positive_finite(arena_side, 2):
             raise ValueError(
                 f"arena_side must be positive and finite when doubled, got {arena_side!r}"
             )

@@ -26,6 +26,7 @@ from evobits.cli import (
     main,
     parse_config,
 )
+from evobits.core import RandomSource
 from evobits.problems import MAX_RECTANGLES, load_arena
 
 
@@ -554,6 +555,43 @@ class TestBenchCommand:
         assert generations == 100
         # onemax, pop 256: 256 initial + 100 generations x 51 offspring
         assert evaluations == 256 + 100 * 51
+
+
+class TestPlainSourceDrawTraffic:
+    """A plain RandomSource breeds without its public ``randrange`` or
+    ``sample``: the operators' kernels, the bulk genome draw and the bound
+    ``random`` do its drawing. Those two methods are the stdlib's own calls,
+    kept for subclasses that count draws and for direct callers, so a step
+    that went back through them would draw no differently, only slower.
+
+    Each case runs a few generations of one benchmark workload's settings."""
+
+    SHARED = ["--max-generations", "5", "--selection-rate", "0.2", "--mutation-rate", "1.0",
+              "--crossover-rate", "9.0", "--crossover-points", "2", "--seed", "1"]
+    WORKLOADS = {
+        "onemax-steady": ["run", "--problem", "onemax", "--bits", "128", "--pop-size", "256",
+                          "--target-fitness", "129.0"],
+        "dot-dense": ["run", "--problem", "dot", "--bits", "32", "--pop-size", "128",
+                      "--num-rects", "1999", "--arena-side", "10.0", "--target-fitness", "1999.0"],
+        "islands-mostdifferent": ["islands", "--problem", "royalroad", "--bits", "256",
+                                  "--pop-size", "64", "--block-size", "8", "--islands", "3",
+                                  "--policy", "mostdifferent", "--target-fitness", "32.0"],
+    }
+
+    @pytest.mark.parametrize("workload", list(WORKLOADS))
+    def test_no_public_randrange_or_sample_call(self, workload, monkeypatch, capsys):
+        calls = []
+        for name in ("randrange", "sample"):
+            # as class attributes, so that every plain-source path stays selected
+            def counted(self, *args, _name=name, _method=getattr(RandomSource, name)):
+                calls.append(_name)
+                return _method(self, *args)
+
+            monkeypatch.setattr(RandomSource, name, counted)
+        code, out, err = run_cli(self.WORKLOADS[workload] + self.SHARED, capsys)
+        assert (code, err) == (2, "")
+        assert "generations=5 " in out
+        assert calls == []
 
 
 class TestEntryPoint:

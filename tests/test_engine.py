@@ -1230,3 +1230,38 @@ class TestRun:
     @pytest.mark.parametrize("target", [sys.float_info.max, int(sys.float_info.max), 10**300, 0])
     def test_target_in_the_float_range_accepted(self, target):
         assert TargetFitness(target).target == target
+
+
+class TestNonRealSettingsRejected:
+    """Each numeric setting refuses a value that is not a real number, or is a
+    bool, with its documented ValueError: a comparison with a float bound
+    raises TypeError for a str, None or a complex, and a bool or a Decimal
+    compares without complaint."""
+
+    SETTINGS = {
+        "EasyStepConfig": (
+            lambda v: EasyStepConfig(v, [BitFlip()]),
+            r"selection_rate must be in \(0, 1\)",
+        ),
+        "TargetFitness": (TargetFitness, "target fitness must be finite as a float"),
+        "BitFlip": (
+            lambda v: BitFlip(rate=v),
+            "operator rate must be positive and finite as a float",
+        ),
+        "NPointCrossover": (
+            lambda v: NPointCrossover(rate=v),
+            "operator rate must be positive and finite as a float",
+        ),
+    }
+
+    @pytest.mark.parametrize("value", ["x", None, True, 1j, Decimal("0.5")], ids=repr)
+    @pytest.mark.parametrize("setting", list(SETTINGS))
+    def test_rejected_with_the_documented_error(self, setting, value):
+        build, message = self.SETTINGS[setting]
+        with pytest.raises(ValueError, match=message):
+            build(value)
+
+    @pytest.mark.parametrize("value", [0.5, Fraction(1, 2)], ids=repr)
+    @pytest.mark.parametrize("setting", list(SETTINGS))
+    def test_real_numbers_still_accepted(self, setting, value):
+        self.SETTINGS[setting][0](value)

@@ -27,7 +27,6 @@ from evobits.core import (
     BitGenome,
     RandomSource,
     _cut_mask,
-    _distinct_below,
     _flip_mask,
     bitflip,
     decode,
@@ -369,13 +368,13 @@ class TestLociKernels:
         # 1,500 seeded cases, n from 22 to 300 and k from 1 to 5
         for case in range(1500):
             n, k = 22 + case * 7 % 279, 1 + case % 5
-            picked = random.Random(case)
-            assert _distinct_below(picked.getrandbits, n, k) == random.Random(case).sample(
-                range(n), k
-            )
-            assert picked.getstate() == sampled_flip_mask(case, n, k)[1]
-            assert kernel_result(_flip_mask, case, n, k) == sampled_flip_mask(case, n, k)
-            assert kernel_result(_cut_mask, case, n, k) == sampled_cut_mask(case, n, k)
+            sampler = random.Random(case)
+            loci = sampler.sample(range(n), k)
+            # index j of sample(range(n), k) is cut j + 1 of sample(range(1, n + 1), k)
+            flips = functools.reduce(operator.or_, (1 << (n - 1 - j) for j in loci))
+            cuts = functools.reduce(operator.xor, ((1 << (n - j)) - 1 for j in loci))
+            assert kernel_result(_flip_mask, case, n, k) == (flips, sampler.getstate())
+            assert kernel_result(_cut_mask, case, n, k) == (cuts, sampler.getstate())
 
     @pytest.mark.parametrize("n", [21, 22, 23])
     @pytest.mark.parametrize("seed", [2, 3, 10, 11])
