@@ -313,17 +313,33 @@ def onemax(genome: BitGenome) -> int:
 
 
 def royal_road(genome: BitGenome, block_size: int = 4) -> int:
-    """Number of disjoint consecutive all-ones blocks of ``block_size`` bits."""
+    """Number of disjoint consecutive all-ones blocks of ``block_size`` bits.
+
+    Shift-ANDs that double the checked span leave bit ``i`` set exactly when
+    bits ``i .. i + block_size - 1`` are all ones; one ``bit_count()`` of the
+    bits at block starts then counts the full blocks. That is about
+    ``log2(block_size)`` passes over the genome, plus a block-start mask
+    built by doubling in time linear in the length.
+    """
     if not (type(block_size) is int and block_size >= 1):
         raise ValueError(f"block_size must be positive and an int, got {block_size!r}")
-    if genome.length % block_size != 0:
-        raise ValueError(
-            f"block_size {block_size} does not divide genome length {genome.length}"
-        )
-    value, block = genome.value, (1 << block_size) - 1
-    return sum(
-        value >> shift & block == block for shift in range(0, genome.length, block_size)
-    )
+    length = genome.length
+    if length % block_size != 0:
+        raise ValueError(f"block_size {block_size} does not divide genome length {length}")
+    value, span = genome.value, 1
+    while span + span <= block_size:
+        value &= value >> span
+        span += span
+    if span < block_size:
+        value &= value >> block_size - span
+    # one bit per block start; bits past ``length`` meet only zeros of
+    # ``value``. Dividing the all-ones int by a block of ones gives the same
+    # bits, but takes time quadratic in the length for long blocks.
+    starts, span = 1, block_size
+    while span < length:
+        starts |= starts << span
+        span += span
+    return (value & starts).bit_count()
 
 
 class BitFlip:

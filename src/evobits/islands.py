@@ -277,10 +277,11 @@ class Archipelago:
         cfg = self._configs[alias]
         if cfg.peers:
             migrant = select_migrant(cfg.migration_policy, evolution.pop)
-        for peer in cfg.peers:
-            # one copy per message: islands never share an Individual
+        for i, peer in enumerate(cfg.peers):
+            # one copy per message: islands never share an Individual.
+            # select_migrant already copied, so the first peer takes that copy
             self.mailboxes[peer].append(
-                MigrantMessage(alias, generation, migrant.copy())
+                MigrantMessage(alias, generation, migrant.copy() if i else migrant)
             )
             self.messages_sent += 1
             self._record(alias, "send", "to={} gen={}", peer, generation)

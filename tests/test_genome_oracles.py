@@ -96,6 +96,20 @@ def royal_road_oracle(bits, block_size):
     return sum(all(bits[start : start + block_size]) for start in range(0, len(bits), block_size))
 
 
+def single_zero_examples(block_size):
+    """One ``@example((block_size, bits))`` per position in a block: three
+    blocks of ones with a single zero at that position of the middle one."""
+
+    def decorate(test):
+        for position in range(block_size):
+            bits = [1] * (3 * block_size)
+            bits[block_size + position] = 0
+            test = example((block_size, tuple(bits)))(test)
+        return test
+
+    return decorate
+
+
 seeds = st.integers(0, 2**64 - 1)
 
 
@@ -410,16 +424,25 @@ class TestProblems:
     def test_onemax(self, bits):
         assert onemax(BitGenome.from_bits(bits)) == onemax_oracle(bits)
 
-    @given(st.integers(1, 16).flatmap(
+    @given(st.integers(1, 64).flatmap(
         lambda size: st.tuples(
             st.just(size),
-            # mostly-ones genomes, so full blocks are common
-            st.integers(1, 300 // size).flatmap(lambda k: bit_tuples(size * k, ones_bias=2)),
+            # mostly-ones genomes, more so for longer blocks, so full blocks
+            # are common; k == 1 makes block_size == length
+            st.integers(1, 300 // size).flatmap(
+                lambda k: bit_tuples(size * k, ones_bias=size.bit_length())
+            ),
         )
     ))
     @example((1, (0,)))
     @example((1, (1,)))
-    @settings(max_examples=200, deadline=None)
+    @example((64, (1,) * 64))
+    @example((64, (0,) * 64))
+    @example((7, (1,) * 294))
+    @example((3, (0,) * 300))
+    @single_zero_examples(5)
+    @single_zero_examples(12)
+    @settings(max_examples=300, deadline=None)
     def test_royal_road(self, blocks):
         block_size, bits = blocks
         assert royal_road(BitGenome.from_bits(bits), block_size) == royal_road_oracle(bits, block_size)

@@ -496,6 +496,16 @@ class TestRoyalRoad:
             block = 1
         assert royal_road(genome, block) <= onemax(genome) / block
 
+    def test_large_genome(self):
+        # no time bound, but a count that shifts the whole 2**20-bit genome
+        # once per block takes seconds for each of these calls
+        n = 2**20
+        ones = (1 << n) - 1
+        assert royal_road(BitGenome(ones, n), 4) == 2**18
+        assert royal_road(BitGenome(ones ^ 1 << 314_159, n), 4) == 2**18 - 1
+        assert royal_road(BitGenome(ones // 0b1111 * 0b0111, n), 4) == 0
+        assert royal_road(BitGenome(ones, n), n) == 1
+
 
 class TestGridOracle:
     def test_empty_arena(self):
